@@ -150,17 +150,19 @@ fuzz-smoke: build
 	grep -q "kept=" _build/fuzz-smoke.out && ! grep -q "kept=0 " _build/fuzz-smoke.out
 	@echo "fuzz-smoke: corpus ledger byte-identical across jobs=1/2, no violations"
 
-# Determinism gate for the Out-of-Hypervisor delegation mode: the full
-# Figure 6 strategy table (baseline levels, SW/HW SVt, ooh and the
-# full-nesting upper bound) must be byte-identical across two runs, and
-# the ooh row must actually be present.
+# Determinism + calibration gate for the Out-of-Hypervisor delegation
+# mode: the full x86 Figure 6 strategy table (baseline levels, SW/HW SVt,
+# ooh and the full-nesting upper bound, plus the per-exit latency table)
+# must be byte-identical across two runs AND match the checked-in
+# expected file, and the ooh row must actually be present.
 ooh-smoke: build
 	rm -f _build/ooh-fig6-a.txt _build/ooh-fig6-b.txt
 	dune exec bin/svt_sim.exe -- fig6 --out _build/ooh-fig6-a.txt
 	dune exec bin/svt_sim.exe -- fig6 --out _build/ooh-fig6-b.txt
 	cmp _build/ooh-fig6-a.txt _build/ooh-fig6-b.txt
+	cmp test/expected/fig6.expected _build/ooh-fig6-a.txt
 	grep -q "^OoH" _build/ooh-fig6-a.txt
-	@echo "ooh-smoke: fig6 table byte-identical, OoH column present"
+	@echo "ooh-smoke: fig6 table byte-identical and matches expected, OoH column present"
 
 # Determinism + calibration gate for the ARM NV/VHE backend: the ARM
 # fig6 table (with its per-exit latency profile) must be byte-identical

@@ -94,7 +94,10 @@ let campaign_lookup ?run ~label spec =
                     (Spec.canonical_key point))
 
 let header title = Printf.printf "\n==== %s ====\n\n%!" title
-let nested mode = System.create ~mode ~level:System.L2_nested ()
+let nested ?arch ?machine ?n_vcpus ?shadow ?multiplex_contexts mode =
+  System.of_config
+    (System.Config.make ?arch ?machine ?n_vcpus ?shadow ?multiplex_contexts
+       ~mode ~level:System.L2_nested ())
 
 (* ---------------------------------------------------------------- Table 1 *)
 
@@ -350,7 +353,7 @@ let fig8 () =
     (last_b.Etc.avg_us /. last_s.Etc.avg_us)
     Paper.fig8_avg_speedup;
   (* section 6.3.1 profiling claim *)
-  let s = System.create ~mode:Mode.Baseline ~level:System.L2_nested ~n_vcpus:2 () in
+  let s = nested ~n_vcpus:2 Mode.Baseline in
   let _ = Etc.run_point ~duration ~qps:17_500.0 s in
   let m = System.metrics s in
   let whole = Svt_engine.Simulator.now (System.sim s) in
@@ -469,8 +472,8 @@ let ablation () =
   List.iter
     (fun ns ->
       let cost = { Svt_arch.Cost_model.paper_machine with ctxt_reg_access = ns } in
-      let config = { Svt_hyp.Machine.paper_config with cost } in
-      let sys = System.create ~config ~mode:Mode.Hw_svt ~level:System.L2_nested () in
+      let machine = { Svt_hyp.Machine.paper_config with cost } in
+      let sys = nested ~machine Mode.Hw_svt in
       let r = Microbench.measure_cpuid sys in
       Printf.printf "   %3d ns/access  %6.2f us\n%!" ns r.Microbench.per_op_us)
     [ 1; 4; 16; 64 ];
@@ -485,9 +488,9 @@ let ablation () =
         else p
       in
       let cost = { Svt_arch.Cost_model.paper_machine with per_reason } in
-      let config = { Svt_hyp.Machine.paper_config with cost } in
+      let machine = { Svt_hyp.Machine.paper_config with cost } in
       let t mode =
-        let sys = System.create ~config ~mode ~level:System.L2_nested () in
+        let sys = nested ~machine mode in
         let net, _ = System.attach_net sys in
         let vcpu = System.vcpu0 sys in
         let out = ref 0.0 in
@@ -506,9 +509,7 @@ let ablation () =
   print_endline "e) hardware VMCS shadowing (baseline nested cpuid):";
   List.iter
     (fun (label, shadow) ->
-      let sys =
-        System.create ~shadow ~mode:Mode.Baseline ~level:System.L2_nested ()
-      in
+      let sys = nested ~shadow Mode.Baseline in
       let r = Microbench.measure_cpuid sys in
       Printf.printf "   %-10s %6.2f us\n%!" label r.Microbench.per_op_us)
     [ ("enabled", Svt_vmcs.Shadow.hardware_shadowing_enabled);
@@ -527,10 +528,7 @@ let ablation () =
     \   where L1 and L2 share a hardware context:";
   List.iter
     (fun (label, multiplex_contexts) ->
-      let sys =
-        System.create ~multiplex_contexts ~mode:Mode.Hw_svt
-          ~level:System.L2_nested ()
-      in
+      let sys = nested ~multiplex_contexts Mode.Hw_svt in
       let r = Microbench.measure_cpuid sys in
       Printf.printf "   %-22s %6.2f us\n%!" label r.Microbench.per_op_us)
     [ ("3 contexts (proposal)", false); ("2 contexts (multiplexed)", true) ]
@@ -651,8 +649,8 @@ let sched () =
       let label =
         match mode with
         | Svt_core.Mode.Sw_svt _ ->
-            Printf.sprintf "%s/%s" (Spec.mode_to_string mode) (Policy.name policy)
-        | _ -> Spec.mode_to_string mode
+            Printf.sprintf "%s/%s" (Mode.to_string mode) (Policy.name policy)
+        | _ -> Mode.to_string mode
       in
       Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!" label
         r.Host.aggregate_kops
@@ -703,8 +701,8 @@ let cluster () =
       let label =
         match mode with
         | Svt_core.Mode.Sw_svt _ ->
-            Printf.sprintf "%s/%s" (Spec.mode_to_string mode) (Policy.name policy)
-        | _ -> Spec.mode_to_string mode
+            Printf.sprintf "%s/%s" (Mode.to_string mode) (Policy.name policy)
+        | _ -> Mode.to_string mode
       in
       Printf.printf "   %-28s %9.1f %7d %7d %7d %7d %12.2f\n%!" label
         r.Cluster.r_aggregate_kops r.Cluster.r_placed r.Cluster.r_evictions
@@ -756,10 +754,7 @@ let engine () =
      sysreg nested-state path (more auxiliary accesses per episode, no
      shadow-VMCS shortcut), so its event rate is tracked as its own row
      to keep cross-backend perf visible across PRs. *)
-  let arm_sys =
-    System.create ~arch:Svt_arch.Backend.Arm ~mode:Mode.Baseline
-      ~level:System.L2_nested ()
-  in
+  let arm_sys = nested ~arch:Svt_arch.Backend.Arm Mode.Baseline in
   let t2 = Unix.gettimeofday () in
   ignore (Microbench.measure_cpuid arm_sys : Microbench.result);
   let arm_wall = Unix.gettimeofday () -. t2 in
@@ -987,8 +982,7 @@ let bechamel () =
         (Staged.stage (fun () ->
              ignore
                (Etc.run_point ~duration:(Svt_engine.Time.of_ms 2) ~qps:10_000.0
-                  (System.create ~mode:Mode.Baseline ~level:System.L2_nested
-                     ~n_vcpus:2 ()))));
+                  (nested ~n_vcpus:2 Mode.Baseline))));
       Test.make ~name:"fig9: 10ms of TPC-C"
         (Staged.stage (fun () ->
              ignore (Tpcc.run ~duration:(Svt_engine.Time.of_ms 10) (nested Mode.Baseline))));

@@ -22,16 +22,17 @@ module Breakdown = Svt_hyp.Breakdown
 
 (* ---- common arguments ---- *)
 
-(* The CLI shares the campaign axis grammar's name tables (which in turn
-   defer to Wait.Kind for the wait-mechanism selector), so "sw-svt-mwait"
-   or "sw-svt-polling@cross-numa" mean the same thing everywhere. *)
+(* The CLI shares Mode's name table (which in turn defers to Wait.Kind for
+   the wait-mechanism selector) with the campaign axis grammar, so
+   "sw-svt-mwait" or "sw-svt-polling@cross-numa" mean the same thing
+   everywhere. *)
 let mode_conv =
   let parse s =
-    match Svt_campaign.Spec.mode_of_string s with
+    match Mode.of_string s with
     | Ok m -> Ok m
     | Error e -> Error (`Msg e)
   in
-  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Svt_campaign.Spec.mode_to_string m))
+  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Mode.to_string m))
 
 let level_conv =
   let parse s =
@@ -72,7 +73,7 @@ let duration_ms =
   Arg.(value & opt int 100
        & info [ "duration-ms" ] ~docv:"MS" ~doc:"Run duration in simulated ms.")
 
-let make_sys ?(n_vcpus = 1) mode level = System.create ~mode ~level ~n_vcpus ()
+let make_sys mode level = System.of_config (System.Config.make ~mode ~level ())
 
 (* ---- cpuid ---- *)
 
@@ -170,7 +171,10 @@ let fio_cmd =
 
 let etc_cmd =
   let run mode qps ms =
-    let sys = System.create ~mode ~level:System.L2_nested ~n_vcpus:2 () in
+    let sys =
+      System.of_config
+        (System.Config.make ~mode ~level:System.L2_nested ~n_vcpus:2 ())
+    in
     let r =
       Svt_workloads.Etc_workload.run_point ~duration:(Time.of_ms ms)
         ~qps:(float_of_int qps) sys
@@ -831,7 +835,7 @@ let sched_cmd =
               Some (String.sub s (i + 1) (String.length s - i - 1)) )
         | None -> (s, None)
       in
-      match Svt_campaign.Spec.mode_of_string mode_s with
+      match Mode.of_string mode_s with
       | Error e -> Error (`Msg e)
       | Ok mode -> (
           match policy_s with
@@ -844,7 +848,7 @@ let sched_cmd =
     Arg.conv
       ( parse,
         fun ppf (m, p) ->
-          Fmt.pf ppf "%s/%s" (Svt_campaign.Spec.mode_to_string m) (Policy.name p) )
+          Fmt.pf ppf "%s/%s" (Mode.to_string m) (Policy.name p) )
   in
   let configs_arg =
     Arg.(value & opt_all config_conv []
@@ -889,10 +893,9 @@ let sched_cmd =
           (* the policy only means something for SW SVt stacks *)
           match mode with
           | Mode.Sw_svt _ ->
-              Printf.sprintf "%s/%s"
-                (Svt_campaign.Spec.mode_to_string mode)
+              Printf.sprintf "%s/%s" (Mode.to_string mode)
                 (Svt_sched.Policy.name policy)
-          | _ -> Svt_campaign.Spec.mode_to_string mode
+          | _ -> Mode.to_string mode
         in
         let topology =
           Topology.create ~sockets:1 ~cores_per_socket:cores
@@ -978,13 +981,6 @@ let cluster_cmd =
     Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"vCPUs per tenant.")
   in
   let mode_arg =
-    let mode_conv =
-      Arg.conv
-        ( (fun s ->
-            Result.map_error (fun e -> `Msg e)
-              (Svt_campaign.Spec.mode_of_string s)),
-          fun ppf m -> Fmt.string ppf (Svt_campaign.Spec.mode_to_string m) )
-    in
     Arg.(value & opt mode_conv Mode.sw_svt_default
          & info [ "mode" ] ~docv:"MODE" ~doc:"Tenant run mode.")
   in

@@ -50,7 +50,9 @@ let rows =
 let run (p : Spec.point) =
   let multiplex_contexts = p.Spec.workload = "cpuid-mux" in
   let sys =
-    System.create ~multiplex_contexts ~mode:p.Spec.mode ~level:System.L2_nested ()
+    System.of_config
+      (System.Config.make ~multiplex_contexts ~mode:p.Spec.mode
+         ~level:System.L2_nested ())
   in
   [ ("per_op_us", (Microbench.measure_cpuid sys).Microbench.per_op_us) ]
 

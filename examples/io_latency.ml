@@ -16,6 +16,9 @@ module Metrics = Svt_stats.Metrics
 
 let modes = [ Mode.Baseline; Mode.sw_svt_default; Mode.Hw_svt ]
 
+let nested mode =
+  System.of_config (System.Config.make ~mode ~level:System.L2_nested ())
+
 let () =
   print_endline "== I/O latency under nested virtualization ==\n";
   (* network round trips *)
@@ -23,7 +26,7 @@ let () =
   let base_rtt = ref 0.0 in
   List.iter
     (fun mode ->
-      let sys = System.create ~mode ~level:System.L2_nested () in
+      let sys = nested mode in
       let r = Netperf.run_rr ~transactions:150 sys in
       if mode = Mode.Baseline then base_rtt := r.Netperf.mean_rtt_us;
       Printf.printf "  %-16s mean RTT %7.1f us   p99 %7.1f us   speedup %.2fx\n"
@@ -36,7 +39,7 @@ let () =
   let base_lat = ref 0.0 in
   List.iter
     (fun mode ->
-      let sys = System.create ~mode ~level:System.L2_nested () in
+      let sys = nested mode in
       let r = Disk.run_ioping ~ops:150 ~op:Disk.Randread sys in
       if mode = Mode.Baseline then base_lat := r.Disk.mean_us;
       Printf.printf "  %-16s mean %7.1f us   p99 %7.1f us   speedup %.2fx\n"
@@ -46,7 +49,7 @@ let () =
   print_newline ();
   (* where the time goes: exit-reason profile of the baseline *)
   print_endline "Why: exit-reason profile of one baseline RR run:";
-  let sys = System.create ~mode:Mode.Baseline ~level:System.L2_nested () in
+  let sys = nested Mode.Baseline in
   let _ = Netperf.run_rr ~transactions:150 sys in
   let m = System.metrics sys in
   List.iter

@@ -35,13 +35,6 @@ val equal : kind -> kind -> bool
 val compare : kind -> kind -> int
 val pp : Format.formatter -> kind -> unit
 
-val name : kind -> string
-[@@deprecated "use to_string"]
-(** Deprecated shim for pre-abstraction callers. *)
-
-val arch_of_string : string -> (kind, string) result
-[@@deprecated "use of_string"]
-
 (** The backend interface proper. *)
 module type S = sig
   val kind : kind

@@ -89,7 +89,7 @@ let json_of_entry e =
   Obj
     ([
        ("run_id", Str e.run_id);
-       ("mode", Str (Spec.mode_to_string e.point.Spec.mode));
+       ("mode", Str (Svt_core.Mode.to_string e.point.Spec.mode));
        ("level", Str (Spec.level_to_string e.point.Spec.level));
        ("workload", Str e.point.Spec.workload);
        ("vcpus", Num (float_of_int e.point.Spec.vcpus));
@@ -111,7 +111,7 @@ let json_of_entry e =
     @ (match e.point.Spec.policy with "" -> [] | s -> [ ("policy", Str s) ])
     @ (match e.point.Spec.arch with
       | Svt_arch.Backend.X86 -> []
-      | a -> [ ("arch", Str (Spec.arch_to_string a)) ])
+      | a -> [ ("arch", Str (Svt_arch.Backend.to_string a)) ])
     @ [ ("status", Str e.status) ]
     @ (match e.error with None -> [] | Some m -> [ ("error", Str m) ])
     @ [
@@ -375,7 +375,7 @@ let entry_of_json j =
   let ( let* ) = Result.bind in
   let* run_id = str_field j "run_id" in
   let* mode_s = str_field j "mode" in
-  let* mode = Spec.mode_of_string mode_s in
+  let* mode = Svt_core.Mode.of_string mode_s in
   let* level_s = str_field j "level" in
   let* level = Spec.level_of_string level_s in
   let* workload = str_field j "workload" in
@@ -396,7 +396,7 @@ let entry_of_json j =
      x86 backend, the only one that existed *)
   let* arch =
     match field j "arch" with
-    | Some (Str s) -> Spec.arch_of_string s
+    | Some (Str s) -> Svt_arch.Backend.of_string s
     | _ -> Ok Svt_arch.Backend.X86
   in
   let* status = str_field j "status" in

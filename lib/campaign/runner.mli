@@ -1,5 +1,6 @@
-(** Adapts one {!Spec.point} to the existing [System.create] / workload
-    entry points and returns a uniform result record for the ledger.
+(** Adapts one {!Spec.point} to a validated {!Svt_core.System.Config.t}
+    and the workload entry points, and returns a uniform result record
+    for the ledger.
 
     Each run builds a fresh, fully independent system whose machine PRNG
     seed is derived from the point's {!Spec.run_hash} through

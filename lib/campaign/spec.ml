@@ -106,13 +106,6 @@ let ( @+ ) = List.append
 
 (* ---- canonical naming ---- *)
 
-(* The mode string table moved into [Svt_core.Mode] (it is the mode's own
-   identity, not the campaign layer's); these shims survive for source
-   compatibility. The spellings are unchanged, so historical run_ids are
-   preserved. *)
-let mode_to_string = Mode.to_string
-let mode_of_string = Mode.of_string
-
 let level_to_string = function
   | System.L0_native -> "l0"
   | System.L1_leaf -> "l1"
@@ -124,21 +117,18 @@ let level_of_string = function
   | "l2" | "nested" -> Ok System.L2_nested
   | s -> Error (Printf.sprintf "unknown level %S" s)
 
-(* The arch string table lives with [Svt_arch.Backend] for the same
-   reason; the campaign layer only decides when the axis appears in the
-   key. *)
-let arch_to_string = Backend.to_string
-let arch_of_string = Backend.of_string
-
-(* The fault and consolidation suffixes appear only when set away from
-   their defaults, so pre-existing points keep the run_ids (and derived
-   PRNG streams) they had before each axis existed. The arch suffix
-   follows the same rule: x86 (the only backend that existed before the
-   axis) is elided, so every historical x86 run_id is preserved. *)
+(* Mode and arch spellings come from the types' own tables
+   ([Svt_core.Mode], [Svt_arch.Backend]); this layer only decides when
+   each axis appears in the key. The fault and consolidation suffixes
+   appear only when set away from their defaults, so pre-existing points
+   keep the run_ids (and derived PRNG streams) they had before each axis
+   existed. The arch suffix follows the same rule: x86 (the only backend
+   that existed before the axis) is elided, so every historical x86
+   run_id is preserved. *)
 let canonical_key p =
   let base =
     Printf.sprintf "mode=%s;level=%s;workload=%s;vcpus=%d;seed=%d"
-      (mode_to_string p.mode) (level_to_string p.level) p.workload p.vcpus
+      (Mode.to_string p.mode) (level_to_string p.level) p.workload p.vcpus
       p.seed
   in
   let base = if p.fault = "" then base else base ^ ";fault=" ^ p.fault in
@@ -152,7 +142,7 @@ let canonical_key p =
     if p.hosts = 1 then base else Printf.sprintf "%s;hosts=%d" base p.hosts
   in
   if Backend.equal p.arch Backend.X86 then base
-  else base ^ ";arch=" ^ arch_to_string p.arch
+  else base ^ ";arch=" ^ Backend.to_string p.arch
 
 (* FNV-1a over the canonical key, then a splitmix64 finalizer for
    diffusion (FNV alone keeps low-byte correlations between nearby keys,
@@ -252,11 +242,11 @@ let of_axes axes =
       let or_default d = function [] -> d | vs -> vs in
       let ( let* ) = Result.bind in
       let* archs =
-        map_result arch_of_string
+        map_result Backend.of_string
           (or_default [ "x86" ] (collect_axis axes "arch"))
       in
       let* modes =
-        map_result mode_of_string (or_default [ "baseline" ] (collect_axis axes "mode"))
+        map_result Mode.of_string (or_default [ "baseline" ] (collect_axis axes "mode"))
       in
       let* levels =
         map_result level_of_string (or_default [ "l2" ] (collect_axis axes "level"))

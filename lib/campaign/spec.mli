@@ -97,21 +97,6 @@ val dedup : t -> t
 
 (** {2 Axis grammar (svt_sim sweep)} *)
 
-val mode_to_string : Svt_core.Mode.t -> string
-(** @deprecated Thin shim over {!Svt_core.Mode.to_string} — the canonical
-    round-tripping table lives with the type now. New code should call
-    [Mode.to_string] directly. *)
-
-val mode_of_string : string -> (Svt_core.Mode.t, string) result
-(** @deprecated Thin shim over {!Svt_core.Mode.of_string}. *)
-
-val arch_to_string : Svt_arch.Backend.kind -> string
-(** Thin shim over {!Svt_arch.Backend.to_string} (the canonical table
-    lives with the backend). *)
-
-val arch_of_string : string -> (Svt_arch.Backend.kind, string) result
-(** Thin shim over {!Svt_arch.Backend.of_string}. *)
-
 val level_to_string : Svt_core.System.level -> string
 val level_of_string : string -> (Svt_core.System.level, string) result
 

@@ -188,7 +188,10 @@ let sweep ?(loads = [ 5_000.; 7_500.; 10_000.; 12_500.; 15_000.; 17_500.; 20_000
     ?duration ~mode () =
   List.map
     (fun qps ->
-      let sys = System.create ~mode ~level:System.L2_nested ~n_vcpus:2 () in
+      let sys =
+        System.of_config
+          (System.Config.make ~mode ~level:System.L2_nested ~n_vcpus:2 ())
+      in
       run_point ?duration ~qps sys)
     loads
 

@@ -90,7 +90,7 @@ let fig6 ?arch ?(modes = [ Svt_core.Mode.sw_svt_default; Svt_core.Mode.Hw_svt ])
       modes
   in
   let run ~mode ~level label =
-    let sys = System.create ?arch ~mode ~level () in
+    let sys = System.of_config (System.Config.make ?arch ~mode ~level ()) in
     let r = measure_cpuid sys in
     (label, r)
   in
@@ -150,7 +150,9 @@ let per_exit_table ?arch ?(svt = Svt_core.Mode.sw_svt_default) () =
     match arch with Some k -> k | None -> Svt_arch.Backend.default
   in
   let one ~mode op =
-    let sys = System.create ?arch ~mode ~level:System.L2_nested () in
+    let sys =
+      System.of_config (System.Config.make ?arch ~mode ~level:System.L2_nested ())
+    in
     (measure sys ~op ()).per_op_us
   in
   List.map

@@ -293,16 +293,7 @@ let test_backend_string_tables () =
     [ ("x86", Backend.X86); ("x86_64", Backend.X86); ("vmx", Backend.X86);
       ("intel", Backend.X86); ("arm", Backend.Arm); ("arm64", Backend.Arm);
       ("aarch64", Backend.Arm); ("nv", Backend.Arm) ];
-  checkb "unknown rejected" true (Result.is_error (Backend.of_string "riscv"));
-  (* the deprecated shims must stay wired to the same tables *)
-  List.iter
-    (fun k ->
-      Alcotest.(check string) "name = to_string" (Backend.to_string k)
-        (Backend.name k) [@alert "-deprecated"];
-      (checkb "arch_of_string" true
-         (Backend.arch_of_string (Backend.to_string k) = Ok k))
-      [@alert "-deprecated"])
-    Backend.all
+  checkb "unknown rejected" true (Result.is_error (Backend.of_string "riscv"))
 
 (* Round trip over the whole arch x mode plane: both halves of any
    point's textual identity must parse back, including through the

@@ -67,8 +67,7 @@ let test_run_id_stable_across_orderings () =
 
 (* The property the redesigned Mode API promises: one canonical table,
    round-tripping over EVERY mode (13 = baseline, hw-svt, hw-full-nesting,
-   ooh, and the 3x3 sw-svt wait/placement grid), with the Spec shims
-   byte-identical to it. *)
+   ooh, and the 3x3 sw-svt wait/placement grid). *)
 let test_mode_round_trip () =
   checki "all modes enumerated" 13 (List.length Mode.all);
   checkb "ooh is a first-class mode" true (List.mem Mode.Ooh Mode.all);
@@ -76,10 +75,7 @@ let test_mode_round_trip () =
     (fun m ->
       (match Mode.of_string (Mode.to_string m) with
       | Ok m' -> checkb (Mode.to_string m) true (m = m')
-      | Error e -> Alcotest.fail e);
-      (* the deprecated Spec shims are the same table *)
-      checks "shim agrees" (Mode.to_string m) (Spec.mode_to_string m);
-      checkb "shim parses" true (Spec.mode_of_string (Mode.to_string m) = Ok m))
+      | Error e -> Alcotest.fail e))
     Mode.all;
   (* Short aliases keep parsing; unknown strings are typed errors. *)
   checkb "sw alias" true (Mode.of_string "sw" = Ok Mode.sw_svt_default);
@@ -326,7 +322,7 @@ let test_ledger_mode_compat () =
   (* Every legacy mode spelling is still parsed by the one shared table. *)
   List.iter
     (fun s ->
-      checkb (s ^ " still parses") true (Result.is_ok (Spec.mode_of_string s)))
+      checkb (s ^ " still parses") true (Result.is_ok (Mode.of_string s)))
     [ "baseline"; "sw-svt"; "sw-svt-polling"; "sw-svt-mutex@same-numa-core";
       "hw-svt"; "hw-full-nesting" ];
   (* An ooh row round-trips through the ledger codec byte-stably. *)

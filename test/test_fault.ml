@@ -168,7 +168,7 @@ let test_backoff_monotone_and_capped () =
 let exec_metrics ?(mode = "sw-svt") ?(workload = "cpuid") ?(seed = 0) plan =
   let p =
     Spec.point ~workload ~seed ~fault:(Plan.to_string (Plan.of_string_exn plan))
-      (Result.get_ok (Spec.mode_of_string mode))
+      (Result.get_ok (Mode.of_string mode))
   in
   Runner.exec p
 
@@ -238,28 +238,12 @@ let test_e2e_irq_faults_recovered () =
 
 (* --- Empty-plan guard --------------------------------------------------------- *)
 
-(* The guard the issue pins: adding the fault layer must leave a
-   fault-free run bit-identical. The legacy [System.create] shim (no
-   injector anywhere near it) and [of_config] with an explicit empty plan
-   must produce identical metrics, event counts and virtual end times. *)
-let summary_via_shim mode =
-  let sys = System.create ~mode ~level:System.L2_nested () in
-  let vcpu = System.vcpu0 sys in
-  Vcpu.spawn_program vcpu (fun v ->
-      for _ = 1 to 10 do
-        ignore (Guest.cpuid v ~leaf:1)
-      done);
-  System.run sys;
-  let sim = System.sim sys in
-  ( Simulator.events_processed sim,
-    Time.to_ns (Simulator.now sim),
-    Svt_stats.Metrics.counter (System.metrics sys) "l2_exit.CPUID" )
-
-let summary_via_config mode =
-  let cfg =
-    System.Config.make ~faults:Plan.empty ~fault_seed:99L ~mode
-      ~level:System.L2_nested ()
-  in
+(* Adding the fault layer must leave a fault-free run bit-identical: a
+   stack built with the default (empty) plan and seed and one with an
+   explicit empty plan under another seed must produce identical metrics,
+   event counts and virtual end times — an empty plan draws nothing from
+   the fault PRNG. *)
+let summary cfg =
   let sys = System.of_config cfg in
   let vcpu = System.vcpu0 sys in
   Vcpu.spawn_program vcpu (fun v ->
@@ -273,11 +257,15 @@ let summary_via_config mode =
     Svt_stats.Metrics.counter (System.metrics sys) "l2_exit.CPUID" )
 
 let test_empty_plan_bit_identical () =
+  let level = System.L2_nested in
   List.iter
     (fun mode ->
-      let shim = summary_via_shim mode in
-      let cfg = summary_via_config mode in
-      checkb (Mode.name mode ^ ": identical summaries") true (shim = cfg))
+      let default = summary (System.Config.make ~mode ~level ()) in
+      let explicit =
+        summary
+          (System.Config.make ~faults:Plan.empty ~fault_seed:99L ~mode ~level ())
+      in
+      checkb (Mode.name mode ^ ": identical summaries") true (default = explicit))
     [ Mode.Baseline; Mode.sw_svt_default; Mode.Hw_svt; Mode.Ooh ]
 
 let test_empty_plan_no_fault_artifacts () =
@@ -428,10 +416,6 @@ let test_config_rejects_ooh_misuse () =
   checkb "ooh validates without SMT" true
     (Result.is_ok (System.Config.validate cfg))
 
-let test_config_legacy_shim_still_works () =
-  let sys = System.create ~mode:Mode.Hw_svt ~level:System.L2_nested () in
-  checkb "shim builds a system" true (System.n_vcpus sys = 1)
-
 let () =
   Alcotest.run "svt_fault"
     [
@@ -496,7 +480,5 @@ let () =
             test_config_normalizes_third_context;
           Alcotest.test_case "rejects ooh misuse" `Quick
             test_config_rejects_ooh_misuse;
-          Alcotest.test_case "legacy create shim" `Quick
-            test_config_legacy_shim_still_works;
         ] );
     ]

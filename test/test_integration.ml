@@ -17,7 +17,8 @@ module Microbench = Svt_workloads.Microbench
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-let sys ?(n_vcpus = 1) mode = System.create ~mode ~level:System.L2_nested ~n_vcpus ()
+let sys ?n_vcpus mode =
+  System.of_config (System.Config.make ?n_vcpus ~mode ~level:System.L2_nested ())
 
 (* --- network -------------------------------------------------------------- *)
 

@@ -1,11 +1,10 @@
 (* Tests for the interrupt subsystem: LAPIC IRR/ISR discipline, priority,
-   EOI, the TSC-deadline timer, IOAPIC routing/masking, and IPIs. *)
+   EOI, the TSC-deadline timer, and IPIs. *)
 
 module Time = Svt_engine.Time
 module Simulator = Svt_engine.Simulator
 module Proc = Simulator.Proc
 module Lapic = Svt_interrupt.Lapic
-module Ioapic = Svt_interrupt.Ioapic
 module Ipi = Svt_interrupt.Ipi
 
 let checkb = Alcotest.(check bool)
@@ -99,40 +98,6 @@ let test_lapic_past_deadline_fires_now () =
   Simulator.run sim;
   checki "fired" 1 (Lapic.timer_fire_count l)
 
-(* --- IOAPIC ------------------------------------------------------------------ *)
-
-let test_ioapic_routing () =
-  let sim = Simulator.create () in
-  let l = Lapic.create sim ~id:1 in
-  let io = Ioapic.create () in
-  Ioapic.route io ~gsi:10 ~vector:0x61 ~dest:l;
-  Ioapic.assert_gsi io ~gsi:10;
-  checkb "delivered to lapic" true (Lapic.ack l = Some 0x61);
-  checki "asserts" 1 (Ioapic.assert_count io)
-
-let test_ioapic_masking () =
-  let sim = Simulator.create () in
-  let l = Lapic.create sim ~id:1 in
-  let io = Ioapic.create () in
-  Ioapic.route io ~gsi:4 ~vector:0x44 ~dest:l;
-  Ioapic.mask io ~gsi:4;
-  Ioapic.assert_gsi io ~gsi:4;
-  checkb "masked: not delivered" false (Lapic.has_pending l);
-  checki "drop counted" 1 (Ioapic.masked_drop_count io);
-  Ioapic.unmask io ~gsi:4;
-  Ioapic.assert_gsi io ~gsi:4;
-  checkb "unmasked: delivered" true (Lapic.has_pending l)
-
-let test_ioapic_unrouted_dropped () =
-  let io = Ioapic.create () in
-  Ioapic.assert_gsi io ~gsi:7;
-  checki "dropped" 1 (Ioapic.masked_drop_count io)
-
-let test_ioapic_bad_gsi () =
-  let io = Ioapic.create () in
-  Alcotest.check_raises "bad gsi" (Invalid_argument "Ioapic: bad GSI")
-    (fun () -> Ioapic.assert_gsi io ~gsi:999)
-
 (* --- IPI --------------------------------------------------------------------- *)
 
 let test_ipi_delivery_delayed_by_cost () =
@@ -182,13 +147,6 @@ let () =
           Alcotest.test_case "disarm" `Quick test_lapic_deadline_disarm;
           Alcotest.test_case "past deadline fires immediately" `Quick
             test_lapic_past_deadline_fires_now;
-        ] );
-      ( "ioapic",
-        [
-          Alcotest.test_case "routing" `Quick test_ioapic_routing;
-          Alcotest.test_case "masking" `Quick test_ioapic_masking;
-          Alcotest.test_case "unrouted dropped" `Quick test_ioapic_unrouted_dropped;
-          Alcotest.test_case "bad gsi" `Quick test_ioapic_bad_gsi;
         ] );
       ( "ipi",
         [

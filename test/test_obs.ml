@@ -60,7 +60,9 @@ let test_wrap_tags_lazy () =
 (* --- span nesting / ordering on a real run ------------------------------ *)
 
 let run_small_nested mode =
-  let sys = System.create ~mode ~level:System.L2_nested () in
+  let sys =
+    System.of_config (System.Config.make ~mode ~level:System.L2_nested ())
+  in
   let tl = Recorder.enable_timeline (System.obs sys) in
   Svt_hyp.Vcpu.spawn_program (System.vcpu0 sys) (fun v ->
       for _ = 1 to 5 do
@@ -301,17 +303,33 @@ let run_with prepare =
 
 let test_sinks_do_not_perturb () =
   let bare, _ = run_with (fun _ -> ()) in
-  let observed, _ =
-    run_with (fun sys ->
-        ignore (Recorder.enable_timeline (System.obs sys));
-        ignore (Recorder.enable_chrome (System.obs sys)))
+  (* Both sinks installed; [armed = false] then throws the recorder's
+     master switch, so no span may reach the installed timeline. *)
+  let with_sinks ~armed =
+    let tl = ref None in
+    let metrics, _ =
+      run_with (fun sys ->
+          let obs = System.obs sys in
+          ignore (Recorder.enable_chrome obs);
+          tl := Some (Recorder.enable_timeline obs);
+          Recorder.set_enabled obs armed)
+    in
+    (metrics, Timeline.total_spans (Option.get !tl))
   in
-  checki "same metric count" (List.length bare) (List.length observed);
-  List.iter2
-    (fun (k, v) (k', v') ->
-      Alcotest.(check string) "metric name" k k';
-      checkb (k ^ " bit-identical") true (Float.equal v v'))
-    bare observed
+  let observed, observed_spans = with_sinks ~armed:true in
+  let disarmed, disarmed_spans = with_sinks ~armed:false in
+  List.iter
+    (fun (label, run) ->
+      checki (label ^ ": same metric count") (List.length bare)
+        (List.length run);
+      List.iter2
+        (fun (k, v) (k', v') ->
+          Alcotest.(check string) "metric name" k k';
+          checkb (label ^ ": " ^ k ^ " bit-identical") true (Float.equal v v'))
+        bare run)
+    [ ("observed", observed); ("disarmed", disarmed) ];
+  checkb "observed: spans recorded" true (observed_spans > 0);
+  checki "disarmed: no spans recorded" 0 disarmed_spans
 
 let median xs =
   let a = Array.of_list xs in

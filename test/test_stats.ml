@@ -1,12 +1,11 @@
 (* Tests for summaries, histograms, the paper's convergence procedure,
-   metrics, tables and the reservoir sampler. *)
+   metrics and tables. *)
 
 module Summary = Svt_stats.Summary
 module Histogram = Svt_stats.Histogram
 module Convergence = Svt_stats.Convergence
 module Metrics = Svt_stats.Metrics
 module Table = Svt_stats.Table
-module Sampler = Svt_stats.Sampler
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -248,22 +247,6 @@ let test_table_arity_check () =
     (Invalid_argument "Table.add_row: wrong number of cells") (fun () ->
       Table.add_row t [ "only-one" ])
 
-(* --- Sampler ------------------------------------------------------------- *)
-
-let test_sampler_under_capacity_exact () =
-  let s = Sampler.create ~capacity:100 (Svt_engine.Prng.create 1) in
-  List.iter (Sampler.add s) [ 3.0; 1.0; 2.0 ];
-  checkb "sorted exact" true (Sampler.to_sorted_array s = [| 1.0; 2.0; 3.0 |]);
-  checkf "p100" 3.0 (Sampler.percentile s 100.0)
-
-let test_sampler_reservoir_bounds () =
-  let s = Sampler.create ~capacity:10 (Svt_engine.Prng.create 2) in
-  for i = 1 to 1000 do
-    Sampler.add s (float_of_int i)
-  done;
-  checki "seen" 1000 (Sampler.seen s);
-  checki "size capped" 10 (Sampler.size s)
-
 let () =
   Alcotest.run "svt_stats"
     [
@@ -316,11 +299,5 @@ let () =
         [
           Alcotest.test_case "aligned rendering" `Quick test_table_renders_aligned;
           Alcotest.test_case "arity check" `Quick test_table_arity_check;
-        ] );
-      ( "sampler",
-        [
-          Alcotest.test_case "exact under capacity" `Quick
-            test_sampler_under_capacity_exact;
-          Alcotest.test_case "reservoir bounds" `Quick test_sampler_reservoir_bounds;
         ] );
     ]
