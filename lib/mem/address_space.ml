@@ -73,46 +73,74 @@ let hpa_exn t gpa access =
   | Ok hpa -> hpa
   | Error f -> failwith (Fmt.str "%a" Ept.pp_fault f)
 
-let read_u64 t gpa = Phys_mem.read_u64 t.mem (hpa_exn t gpa Ept.Read)
-let write_u64 t gpa v = Phys_mem.write_u64 t.mem (hpa_exn t gpa Ept.Write) v
-let read_u32 t gpa = Phys_mem.read_u32 t.mem (hpa_exn t gpa Ept.Read)
-let write_u32 t gpa v = Phys_mem.write_u32 t.mem (hpa_exn t gpa Ept.Write) v
-let read_u16 t gpa = Phys_mem.read_u16 t.mem (hpa_exn t gpa Ept.Read)
-let write_u16 t gpa v = Phys_mem.write_u16 t.mem (hpa_exn t gpa Ept.Write) v
-let read_u8 t gpa = Phys_mem.read_u8 t.mem (hpa_exn t gpa Ept.Read)
-let write_u8 t gpa v = Phys_mem.write_u8 t.mem (hpa_exn t gpa Ept.Write) v
-
-let read_bytes t gpa len =
-  (* Page-wise to honour per-page mappings. *)
-  let out = Bytes.create len in
+(* Guest memory is copied one guest page at a time, straight between the
+   caller's buffer and the backing frame: each page is translated (and
+   faults) on its own, since adjacent guest pages need not sit in
+   adjacent frames. *)
+let copy t gpa buf ~len ~access =
   let rec go done_ =
     if done_ < len then begin
       let gpa' = Addr.Gpa.add gpa done_ in
-      let in_page =
-        Stdlib.min (len - done_) (Addr.page_size - Addr.Gpa.offset gpa')
-      in
-      let hpa = hpa_exn t gpa' Ept.Read in
-      Bytes.blit (Phys_mem.read_bytes t.mem hpa in_page) 0 out done_ in_page;
-      go (done_ + in_page)
-    end
-  in
-  go 0;
-  out
-
-let write_bytes t gpa data =
-  let len = Bytes.length data in
-  let rec go done_ =
-    if done_ < len then begin
-      let gpa' = Addr.Gpa.add gpa done_ in
-      let in_page =
-        Stdlib.min (len - done_) (Addr.page_size - Addr.Gpa.offset gpa')
-      in
-      let hpa = hpa_exn t gpa' Ept.Write in
-      Phys_mem.write_bytes t.mem hpa (Bytes.sub data done_ in_page);
-      go (done_ + in_page)
+      let n = Stdlib.min (len - done_) (Addr.page_size - Addr.Gpa.offset gpa') in
+      let hpa = hpa_exn t gpa' access in
+      (match access with
+      | Ept.Write -> Phys_mem.write_from t.mem hpa buf ~pos:done_ ~len:n
+      | Ept.Read | Ept.Exec -> Phys_mem.read_into t.mem hpa buf ~pos:done_ ~len:n);
+      go (done_ + n)
     end
   in
   go 0
+
+let read_bytes t gpa len =
+  let out = Bytes.create len in
+  copy t gpa out ~len ~access:Ept.Read;
+  out
+
+let write_bytes t gpa data =
+  copy t gpa data ~len:(Bytes.length data) ~access:Ept.Write
+
+(* Scalars inside one guest page translate once; one that straddles a
+   guest page boundary goes through the page-wise copy. *)
+let in_page gpa w = Addr.Gpa.offset gpa + w <= Addr.page_size
+
+let read_u64 t gpa =
+  if in_page gpa 8 then Phys_mem.read_u64 t.mem (hpa_exn t gpa Ept.Read)
+  else Bytes.get_int64_le (read_bytes t gpa 8) 0
+
+let write_u64 t gpa v =
+  if in_page gpa 8 then Phys_mem.write_u64 t.mem (hpa_exn t gpa Ept.Write) v
+  else begin
+    let b = Bytes.create 8 in
+    Bytes.set_int64_le b 0 v;
+    write_bytes t gpa b
+  end
+
+let read_u32 t gpa =
+  if in_page gpa 4 then Phys_mem.read_u32 t.mem (hpa_exn t gpa Ept.Read)
+  else Int32.to_int (Bytes.get_int32_le (read_bytes t gpa 4) 0) land 0xFFFF_FFFF
+
+let write_u32 t gpa v =
+  if in_page gpa 4 then Phys_mem.write_u32 t.mem (hpa_exn t gpa Ept.Write) v
+  else begin
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int v);
+    write_bytes t gpa b
+  end
+
+let read_u16 t gpa =
+  if in_page gpa 2 then Phys_mem.read_u16 t.mem (hpa_exn t gpa Ept.Read)
+  else Bytes.get_uint16_le (read_bytes t gpa 2) 0
+
+let write_u16 t gpa v =
+  if in_page gpa 2 then Phys_mem.write_u16 t.mem (hpa_exn t gpa Ept.Write) v
+  else begin
+    let b = Bytes.create 2 in
+    Bytes.set_uint16_le b 0 (v land 0xFFFF);
+    write_bytes t gpa b
+  end
+
+let read_u8 t gpa = Phys_mem.read_u8 t.mem (hpa_exn t gpa Ept.Read)
+let write_u8 t gpa v = Phys_mem.write_u8 t.mem (hpa_exn t gpa Ept.Write) v
 
 (* Allocate fresh, already-mapped guest pages (for rings, buffers). *)
 let alloc_guest_pages t n =

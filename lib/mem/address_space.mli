@@ -29,7 +29,11 @@ val add_mmio_region : t -> name:string -> len:int -> Addr.Gpa.t
 val region_of_gpa : t -> Addr.Gpa.t -> region option
 val translate : t -> gpa:Addr.Gpa.t -> access:Ept.access -> (Addr.Hpa.t, Ept.fault) result
 
-(** {2 Guest-physical accessors (raise on faults)} *)
+(** {2 Guest-physical accessors (raise on faults)}
+
+    Each guest page an access touches is translated on its own, so an
+    access that straddles a guest page boundary is correct however the
+    two pages are backed. *)
 
 val read_u64 : t -> Addr.Gpa.t -> int64
 val write_u64 : t -> Addr.Gpa.t -> int64 -> unit

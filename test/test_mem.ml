@@ -43,7 +43,15 @@ let test_phys_mem_page_crossing () =
   let m = Phys_mem.create () in
   let a = Addr.Hpa.of_int (0x2000 - 4) in
   Phys_mem.write_u64 m a 0x1122334455667788L;
-  check64 "crosses page" 0x1122334455667788L (Phys_mem.read_u64 m a)
+  check64 "crosses page" 0x1122334455667788L (Phys_mem.read_u64 m a);
+  let a = Addr.Hpa.of_int (0x3000 - 1) in
+  Phys_mem.write_u16 m a 0xBEEF;
+  checki "u16 crosses page" 0xBEEF (Phys_mem.read_u16 m a);
+  checki "u16 low byte" 0xEF (Phys_mem.read_u8 m a);
+  let a = Addr.Hpa.of_int (0x4000 - 2) in
+  Phys_mem.write_u32 m a 0xDEAD10CC;
+  checki "u32 crosses page" 0xDEAD10CC (Phys_mem.read_u32 m a);
+  checki "u32 high byte" 0xDE (Phys_mem.read_u8 m (Addr.Hpa.add a 3))
 
 let test_phys_mem_bytes_roundtrip () =
   let m = Phys_mem.create () in
@@ -51,6 +59,16 @@ let test_phys_mem_bytes_roundtrip () =
   let data = Bytes.of_string "the quick brown fox crosses a page boundary!" in
   Phys_mem.write_bytes m a data;
   checkb "round trip" true (Phys_mem.read_bytes m a (Bytes.length data) = data)
+
+(* A scalar at a page's last bytes touches only its own page. *)
+let test_phys_mem_u32_own_bytes () =
+  let m = Phys_mem.create () in
+  let a = Addr.Hpa.of_int 4092 in
+  checki "zero" 0 (Phys_mem.read_u32 m a);
+  checki "one page materialized" 1 (Phys_mem.resident_pages m);
+  let m = Phys_mem.create ~size_limit:4096 () in
+  Phys_mem.write_u32 m a 0xCAFEF00D;
+  checki "in-range read below limit" 0xCAFEF00D (Phys_mem.read_u32 m a)
 
 let test_phys_mem_sparse () =
   let m = Phys_mem.create () in
@@ -200,6 +218,30 @@ let test_aspace_bytes_cross_page () =
   checkb "cross-page payload" true
     (Aspace.read_bytes a near_end 8 = Bytes.of_string "boundary")
 
+(* Two guest pages backed by non-adjacent frames: a scalar that straddles
+   them must translate each page, not run on into the next host frame. *)
+let test_aspace_scalar_straddles_frames () =
+  let mem = Phys_mem.create () in
+  let alloc = Frame_alloc.create ~base:(1 lsl 30) ~size_bytes:(1 lsl 24) in
+  let a = Aspace.create ~mem ~alloc ~ram_bytes:4096 in
+  ignore (Frame_alloc.alloc alloc);
+  let g = Aspace.alloc_guest_pages a 1 in
+  checki "next guest page" 4096 (Addr.Gpa.to_int g);
+  let at = gpa 4092 in
+  Aspace.write_bytes a at (Bytes.of_string "ABCDEFGH");
+  checkb "bytes round trip" true
+    (Aspace.read_bytes a at 8 = Bytes.of_string "ABCDEFGH");
+  check64 "u64 straddles" 0x4847464544434241L (Aspace.read_u64 a at);
+  checki "u32 straddles" 0x46454443 (Aspace.read_u32 a (gpa 4094));
+  checki "u16 straddles" 0x4544 (Aspace.read_u16 a (gpa 4095));
+  Aspace.write_u64 a at 0x0102030405060708L;
+  checkb "u64 write lands in both pages" true
+    (Aspace.read_bytes a at 8 = Bytes.of_string "\x08\x07\x06\x05\x04\x03\x02\x01");
+  Aspace.write_u32 a (gpa 4094) 0x11223344;
+  Aspace.write_u16 a (gpa 4095) 0x5566;
+  checkb "narrow writes land in both pages" true
+    (Aspace.read_bytes a at 8 = Bytes.of_string "\x08\x07\x44\x66\x55\x11\x02\x01")
+
 let () =
   Alcotest.run "svt_mem"
     [
@@ -214,6 +256,8 @@ let () =
           Alcotest.test_case "page crossing" `Quick test_phys_mem_page_crossing;
           Alcotest.test_case "bytes round trip" `Quick test_phys_mem_bytes_roundtrip;
           Alcotest.test_case "sparse materialization" `Quick test_phys_mem_sparse;
+          Alcotest.test_case "u32 touches own bytes" `Quick
+            test_phys_mem_u32_own_bytes;
         ] );
       ( "frame-alloc",
         [
@@ -243,5 +287,7 @@ let () =
           Alcotest.test_case "allocated pages usable" `Quick
             test_aspace_alloc_pages_mapped;
           Alcotest.test_case "cross-page bytes" `Quick test_aspace_bytes_cross_page;
+          Alcotest.test_case "scalars straddle non-adjacent frames" `Quick
+            test_aspace_scalar_straddles_frames;
         ] );
     ]

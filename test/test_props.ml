@@ -213,6 +213,104 @@ let prop_cpuid_view_monotone =
       in
       added = 0L && g.Svt_arch.Cpuid_db.edx = h.Svt_arch.Cpuid_db.edx)
 
+(* Page-wise copies agree with a byte-wise reference model built from
+   [read_u8]/[write_u8] loops: same contents, same resident pages, and
+   across a size limit the same exception after the same partial copy. *)
+module Phys_mem = Svt_mem.Phys_mem
+module Hpa = Svt_mem.Addr.Hpa
+
+let page = Svt_mem.Addr.page_size
+
+let outcome f = match f () with v -> Ok v | exception e -> Error e
+
+let ref_read m a len =
+  Bytes.init len (fun i -> Char.chr (Phys_mem.read_u8 m (Hpa.add a i)))
+
+let ref_write m a data =
+  Bytes.iteri (fun i c -> Phys_mem.write_u8 m (Hpa.add a i) (Char.code c)) data
+
+(* Byte [i] of both memories, or -1 where it lies beyond the limit. *)
+let same_window m r ~from ~len =
+  List.for_all
+    (fun i ->
+      let peek m = try Phys_mem.read_u8 m (Hpa.of_int i) with _ -> -1 in
+      peek m = peek r)
+    (List.init len (fun i -> from + i))
+
+let prop_copy_matches_bytewise =
+  QCheck.Test.make ~name:"page-wise copies match the byte-wise model"
+    ~count:300
+    QCheck.(
+      quad (int_bound (4 * page)) (int_bound (3 * page))
+        (option (int_range 1 (5 * page)))
+        (pair bool (int_bound 255)))
+    (fun (addr, len, limit, (is_write, fill)) ->
+      let size_limit = Option.value limit ~default:0 in
+      let m = Phys_mem.create ~size_limit () in
+      let r = Phys_mem.create ~size_limit () in
+      let a = Hpa.of_int addr in
+      let agree =
+        if is_write then begin
+          let data = Bytes.init len (fun i -> Char.chr ((fill + i) land 0xFF)) in
+          outcome (fun () -> Phys_mem.write_bytes m a data)
+          = outcome (fun () -> ref_write r a data)
+        end
+        else
+          outcome (fun () -> Phys_mem.read_bytes m a len)
+          = outcome (fun () -> ref_read r a len)
+      in
+      agree
+      && Phys_mem.resident_pages m = Phys_mem.resident_pages r
+      && same_window m r ~from:(max 0 (addr - 8)) ~len:(len + 16))
+
+(* The same round trip through an address space whose guest pages sit in
+   non-adjacent frames (a random hole before each page). Scalars that
+   straddle a guest page boundary read what the bytes say. *)
+module Aspace = Svt_mem.Address_space
+module Gpa = Svt_mem.Addr.Gpa
+
+let aspace_with_holes holes =
+  let mem = Phys_mem.create () in
+  let alloc = Svt_mem.Frame_alloc.create ~base:(1 lsl 30) ~size_bytes:(1 lsl 24) in
+  let a = Aspace.create ~mem ~alloc ~ram_bytes:page in
+  let bases =
+    List.map
+      (fun hole ->
+        for _ = 1 to hole do ignore (Svt_mem.Frame_alloc.alloc alloc) done;
+        Aspace.alloc_guest_pages a 1)
+      holes
+  in
+  (a, List.hd bases)
+
+let prop_aspace_copy_noncontiguous =
+  QCheck.Test.make ~name:"guest copies over non-contiguous frames" ~count:200
+    QCheck.(
+      quad (list_of_size (Gen.return 4) (int_bound 2)) (int_bound (3 * page))
+        (int_bound (3 * page)) (int_bound 255))
+    (fun (holes, off, len, fill) ->
+      let len = min len ((4 * page) - off) in
+      let a, base = aspace_with_holes holes in
+      let at = Gpa.add base off in
+      let data = Bytes.init len (fun i -> Char.chr ((fill + (7 * i)) land 0xFF)) in
+      Aspace.write_bytes a at data;
+      let byte i = Aspace.read_u8 a (Gpa.add at i) in
+      let le w i =
+        List.fold_left (fun v k -> v lor (byte (i + k) lsl (8 * k))) 0 (List.init w Fun.id)
+      in
+      let scalars_agree i =
+        let g = Gpa.add at i in
+        (i + 2 > len || Aspace.read_u16 a g = le 2 i)
+        && (i + 4 > len || Aspace.read_u32 a g = le 4 i)
+        && (i + 8 > len
+           || Aspace.read_u64 a g
+              = Int64.logor (Int64.of_int (le 4 i))
+                  (Int64.shift_left (Int64.of_int (le 4 (i + 4))) 32))
+      in
+      let straddles = List.init 7 (fun k -> page - (off mod page) - 1 - k) in
+      Aspace.read_bytes a at len = data
+      && Bytes.init len (fun i -> Char.chr (byte i)) = data
+      && List.for_all scalars_agree (List.filter (fun i -> i >= 0) (0 :: straddles)))
+
 let () =
   Alcotest.run "properties"
     [
@@ -227,4 +325,7 @@ let () =
             prop_fabric_ordering;
             prop_cpuid_view_monotone;
           ] );
+      ( "guest-memory-copies",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_copy_matches_bytewise; prop_aspace_copy_noncontiguous ] );
     ]
