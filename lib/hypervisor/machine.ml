@@ -39,7 +39,7 @@ type t = {
   cost : Svt_arch.Cost_model.t;
   mem : Svt_mem.Phys_mem.t;
   alloc : Svt_mem.Frame_alloc.t;
-  cores : Svt_arch.Smt_core.t array;
+  cores : Svt_arch.Smt_core.t option array; (* built on first [core] *)
   host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
   obs : Svt_obs.Recorder.t;
@@ -48,7 +48,6 @@ type t = {
 
 let create ?(config = paper_config) () =
   let sim = Simulator.create () in
-  let n_cores = config.sockets * config.cores_per_socket in
   {
     sim;
     config;
@@ -58,9 +57,9 @@ let create ?(config = paper_config) () =
     alloc =
       Svt_mem.Frame_alloc.create ~base:(1 lsl 30)
         ~size_bytes:(config.ram_gb * (1 lsl 30));
-    cores =
-      Array.init n_cores (fun id ->
-          Svt_arch.Smt_core.create ~id ~n_contexts:config.smt_per_core ());
+    (* A stack touches one or two of its cores; each is built when first
+       asked for. *)
+    cores = Array.make (config.sockets * config.cores_per_socket) None;
     host_cpuid = Svt_arch.Cpuid_db.host ();
     metrics = Svt_stats.Metrics.create ();
     obs = Svt_obs.Recorder.create ~clock:(fun () -> Simulator.now sim) ();
@@ -70,7 +69,16 @@ let create ?(config = paper_config) () =
 let sim t = t.sim
 let cost t = t.cost
 let arch t = t.config.arch
-let core t i = t.cores.(i)
+let core t i =
+  match t.cores.(i) with
+  | Some c -> c
+  | None ->
+      let c =
+        Svt_arch.Smt_core.create ~id:i ~n_contexts:t.config.smt_per_core ()
+      in
+      t.cores.(i) <- Some c;
+      c
+
 let n_cores t = Array.length t.cores
 
 (* NUMA node of a core, for the channel-placement experiments. *)

@@ -30,7 +30,8 @@ type t = {
   cost : Svt_arch.Cost_model.t;
   mem : Svt_mem.Phys_mem.t;
   alloc : Svt_mem.Frame_alloc.t;
-  cores : Svt_arch.Smt_core.t array;
+  cores : Svt_arch.Smt_core.t option array;
+      (** the cores built so far, by id; use {!core} *)
   host_cpuid : Svt_arch.Cpuid_db.t;
   metrics : Svt_stats.Metrics.t;
   obs : Svt_obs.Recorder.t;
@@ -44,6 +45,8 @@ val cost : t -> Svt_arch.Cost_model.t
 (** The machine's architecture backend. *)
 val arch : t -> Svt_arch.Backend.kind
 val core : t -> int -> Svt_arch.Smt_core.t
+(** Core [i], built on first use; later calls return the same core. *)
+
 val n_cores : t -> int
 
 val numa_node : t -> int -> int

@@ -21,6 +21,16 @@ type t = {
   mutable alloc_cursor : Addr.Gpa.t; (* next free GPA for dynamic regions *)
 }
 
+(* Back [pages] fresh guest pages at the cursor with one run of host
+   frames, record them as a RAM region and return their base. *)
+let add_ram t ~name pages =
+  let base = t.alloc_cursor in
+  let hpa = Frame_alloc.alloc_run t.alloc pages in
+  Ept.map_range t.ept ~gpa:base ~hpa ~len:(pages * Addr.page_size) ~perm:Ept.rwx;
+  t.alloc_cursor <- Addr.Gpa.add base (pages * Addr.page_size);
+  t.regions <- { name; base; len = pages * Addr.page_size; kind = `Ram } :: t.regions;
+  base
+
 let create ~mem ~alloc ~ram_bytes =
   if ram_bytes <= 0 then invalid_arg "Address_space.create";
   let t =
@@ -29,15 +39,7 @@ let create ~mem ~alloc ~ram_bytes =
   in
   (* Back all of guest RAM with host frames up front (the paper's VMs are
      configured to avoid swapping). *)
-  let pages = (ram_bytes + Addr.page_size - 1) / Addr.page_size in
-  for i = 0 to pages - 1 do
-    let hpa = Frame_alloc.alloc alloc in
-    Ept.map t.ept ~gpa:(Addr.Gpa.of_int (i * Addr.page_size)) ~hpa ~perm:Ept.rwx
-  done;
-  t.regions <-
-    [ { name = "ram"; base = Addr.Gpa.of_int 0; len = pages * Addr.page_size;
-        kind = `Ram } ];
-  t.alloc_cursor <- Addr.Gpa.of_int (pages * Addr.page_size);
+  ignore (add_ram t ~name:"ram" ((ram_bytes + Addr.page_size - 1) / Addr.page_size));
   t
 
 let ept t = t.ept
@@ -143,13 +145,4 @@ let read_u8 t gpa = Phys_mem.read_u8 t.mem (hpa_exn t gpa Ept.Read)
 let write_u8 t gpa v = Phys_mem.write_u8 t.mem (hpa_exn t gpa Ept.Write) v
 
 (* Allocate fresh, already-mapped guest pages (for rings, buffers). *)
-let alloc_guest_pages t n =
-  let base = t.alloc_cursor in
-  for i = 0 to n - 1 do
-    let hpa = Frame_alloc.alloc t.alloc in
-    Ept.map t.ept ~gpa:(Addr.Gpa.add base (i * Addr.page_size)) ~hpa ~perm:Ept.rwx
-  done;
-  t.alloc_cursor <- Addr.Gpa.add base (n * Addr.page_size);
-  t.regions <-
-    { name = "alloc"; base; len = n * Addr.page_size; kind = `Ram } :: t.regions;
-  base
+let alloc_guest_pages t n = add_ram t ~name:"alloc" n

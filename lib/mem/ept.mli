@@ -1,6 +1,8 @@
 (** Extended page tables: the guest-physical → host-physical translation
     a hypervisor maintains per VM, as a real 4-level radix tree with
-    per-entry permissions and a deliberate-misconfiguration marker.
+    per-entry permissions and a deliberate-misconfiguration marker. A
+    leaf table is a flat array of 512 words, so mapping a page allocates
+    nothing.
 
     The misconfig marker reproduces how KVM implements virtio doorbells:
     MMIO regions are left misconfigured so every guest store raises
@@ -30,6 +32,9 @@ val map : t -> gpa:Addr.Gpa.t -> hpa:Addr.Hpa.t -> perm:perm -> unit
 (** Map one page (both addresses page-aligned). *)
 
 val map_range : t -> gpa:Addr.Gpa.t -> hpa:Addr.Hpa.t -> len:int -> perm:perm -> unit
+(** Map [len] bytes (rounded up to whole pages) of consecutive guest pages
+    onto consecutive host frames: the same entries as one {!map} per page,
+    with one walk per leaf table. *)
 
 val mark_misconfig : t -> gpa:Addr.Gpa.t -> tag:string -> unit
 (** Mark a page deliberately misconfigured (an MMIO doorbell). *)
@@ -47,4 +52,6 @@ val invept : t -> unit
 
 val invalidations : t -> int
 val mapped_pages : t -> int
+(** Number of pages currently mapped (misconfig markers are not pages). *)
+
 val pp_fault : Format.formatter -> fault -> unit

@@ -34,6 +34,16 @@ let alloc t =
 
 let alloc_n t n = List.init n (fun _ -> alloc t)
 
+(* [n] consecutive fresh frames from the bump pointer; the free list is
+   left alone, since freed frames need not be adjacent. *)
+let alloc_run t n =
+  if n < 0 then invalid_arg "Frame_alloc.alloc_run";
+  if t.next_frame + n > t.limit_frames then failwith "Frame_alloc: out of memory";
+  let f = t.next_frame in
+  t.next_frame <- t.next_frame + n;
+  t.allocated <- t.allocated + n;
+  Addr.Hpa.of_int (f lsl Addr.page_shift)
+
 let free t hpa =
   if not (Addr.Hpa.is_page_aligned hpa) then
     invalid_arg "Frame_alloc.free: unaligned";

@@ -40,6 +40,52 @@ let test_machine_topology () =
   checkb "numa split" true (not (Machine.same_numa m 0 8));
   checkb "same socket" true (Machine.same_numa m 0 7)
 
+(* Cores are built on first use: a stack touches one or two of the 16. *)
+let test_machine_lazy_cores () =
+  let m = Machine.create () in
+  let built () =
+    Array.fold_left (fun n c -> n + Bool.to_int (Option.is_some c)) 0 m.Machine.cores
+  in
+  checki "16 cores before any is built" 16 (Machine.n_cores m);
+  checki "none built yet" 0 (built ());
+  let c5 = Machine.core m 5 in
+  checki "id" 5 (Svt_arch.Smt_core.id c5);
+  checkb "same core on repeat" true (Machine.core m 5 == c5);
+  checki "only core 5 built" 1 (built ());
+  for i = 0 to Machine.n_cores m - 1 do
+    checki "id matches index" i (Svt_arch.Smt_core.id (Machine.core m i));
+    checkb "stable" true (Machine.core m i == Machine.core m i)
+  done;
+  checki "still 16" 16 (Machine.n_cores m)
+
+(* Bytes [f ()] allocates, counted exactly by emptying the minor heap at
+   both ends. *)
+let allocated_bytes f =
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+  * (Sys.word_size / 8)
+
+(* Construction ceilings: a stack is built per fuzzer exec and per fleet
+   readmission, so what it allocates is a budget. *)
+let test_construction_allocation () =
+  let l2_sw_svt () =
+    Svt_core.System.of_config
+      (Svt_core.System.Config.make ~mode:Svt_core.Mode.sw_svt_default
+         ~level:Svt_core.System.L2_nested ())
+  in
+  (* warm any lazily built shared tables before counting *)
+  ignore (l2_sw_svt ());
+  let machine = allocated_bytes (fun () -> Machine.create ()) in
+  let stack = allocated_bytes l2_sw_svt in
+  checkb (Printf.sprintf "Machine.create %d B <= 16 KB" machine) true
+    (machine <= 16 * 1024);
+  checkb (Printf.sprintf "L2 sw-svt of_config %d B <= 160 KB" stack) true
+    (stack <= 160 * 1024)
+
 (* --- Vm dispatch ------------------------------------------------------------ *)
 
 let test_vm_mmio_dispatch () =
@@ -263,7 +309,13 @@ let test_l1_script_reflection_policy () =
 let () =
   Alcotest.run "svt_hyp"
     [
-      ("machine", [ Alcotest.test_case "topology" `Quick test_machine_topology ]);
+      ( "machine",
+        [
+          Alcotest.test_case "topology" `Quick test_machine_topology;
+          Alcotest.test_case "lazy cores" `Quick test_machine_lazy_cores;
+          Alcotest.test_case "construction allocation" `Quick
+            test_construction_allocation;
+        ] );
       ( "vm",
         [
           Alcotest.test_case "mmio dispatch" `Quick test_vm_mmio_dispatch;

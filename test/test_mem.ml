@@ -100,6 +100,42 @@ let test_frame_alloc_exhaustion () =
   Alcotest.check_raises "oom" (Failure "Frame_alloc: out of memory") (fun () ->
       ignore (Frame_alloc.alloc a))
 
+let frame h = Addr.Hpa.to_int h / 4096
+
+let test_frame_alloc_run_contiguous () =
+  let a = Frame_alloc.create ~base:0x10000 ~size_bytes:(64 * 4096) in
+  let f0 = Frame_alloc.alloc a in
+  (* a freed frame is not part of a run: runs come from fresh frames *)
+  Frame_alloc.free a f0;
+  let run = Frame_alloc.alloc_run a 5 in
+  checki "run starts after the last fresh frame" (frame f0 + 1) (frame run);
+  checki "allocated" 5 (Frame_alloc.allocated a);
+  checki "next alloc reuses the freed frame" (frame f0) (frame (Frame_alloc.alloc a));
+  checki "next fresh frame follows the run" (frame run + 5)
+    (frame (Frame_alloc.alloc a));
+  (* guest pages backed by one run sit in consecutive frames *)
+  let alloc = Frame_alloc.create ~base:(1 lsl 30) ~size_bytes:(1 lsl 24) in
+  let sp = Aspace.create ~mem:(Phys_mem.create ()) ~alloc ~ram_bytes:(3 * 4096) in
+  let g = Aspace.alloc_guest_pages sp 3 in
+  let hpa_of i =
+    match Aspace.translate sp ~gpa:(Addr.Gpa.add g (i * 4096)) ~access:Ept.Read with
+    | Ok h -> frame h
+    | Error _ -> Alcotest.fail "allocated page must map"
+  in
+  checki "ram then pages, one frame apart" ((1 lsl 30) / 4096 + 3) (hpa_of 0);
+  checki "second page" (hpa_of 0 + 1) (hpa_of 1);
+  checki "third page" (hpa_of 0 + 2) (hpa_of 2)
+
+let test_frame_alloc_run_exhaustion () =
+  let a = Frame_alloc.create ~base:0x10000 ~size_bytes:(4 * 4096) in
+  let f0 = Frame_alloc.alloc a in
+  Alcotest.check_raises "oom" (Failure "Frame_alloc: out of memory") (fun () ->
+      ignore (Frame_alloc.alloc_run a 4));
+  checki "allocated unchanged" 1 (Frame_alloc.allocated a);
+  checki "remaining unchanged" 3 (Frame_alloc.remaining a);
+  checki "the rest still fits in one run" (frame f0 + 1)
+    (frame (Frame_alloc.alloc_run a 3))
+
 (* --- EPT ------------------------------------------------------------------ *)
 
 let gpa = Addr.Gpa.of_int
@@ -145,6 +181,33 @@ let test_ept_unmap () =
   match Ept.translate e ~gpa:(gpa 0x4000) ~access:Ept.Read with
   | Error (Ept.Violation _) -> ()
   | _ -> Alcotest.fail "unmapped must fault"
+
+(* [mapped_pages] counts present pages exactly: a misconfig marker is not
+   a page, and remapping a present page does not count it twice. *)
+let test_ept_mapped_pages_misconfig () =
+  let e = Ept.create () in
+  Ept.mark_misconfig e ~gpa:(gpa 0x6000) ~tag:"doorbell";
+  checki "marker is not a page" 0 (Ept.mapped_pages e);
+  Ept.unmap e ~gpa:(gpa 0x6000);
+  checki "unmapping a marker" 0 (Ept.mapped_pages e);
+  Ept.map e ~gpa:(gpa 0x6000) ~hpa:(hpa 0x88000) ~perm:Ept.rwx;
+  Ept.mark_misconfig e ~gpa:(gpa 0x6000) ~tag:"doorbell";
+  checki "marking a page unmaps it" 0 (Ept.mapped_pages e);
+  Ept.unmap e ~gpa:(gpa 0x7000);
+  checki "unmapping nothing" 0 (Ept.mapped_pages e)
+
+let test_ept_mapped_pages_remap () =
+  let e = Ept.create () in
+  Ept.map e ~gpa:(gpa 0x4000) ~hpa:(hpa 0x88000) ~perm:Ept.rwx;
+  Ept.map e ~gpa:(gpa 0x4000) ~hpa:(hpa 0x99000) ~perm:Ept.ro;
+  checki "remap counts once" 1 (Ept.mapped_pages e);
+  Ept.map_range e ~gpa:(gpa 0x3000) ~hpa:(hpa 0x100000) ~len:(3 * 4096) ~perm:Ept.rwx;
+  checki "range over a present page" 3 (Ept.mapped_pages e);
+  (match Ept.translate e ~gpa:(gpa 0x4000) ~access:Ept.Write with
+  | Ok h -> checki "range remapped it" 0x101000 (Addr.Hpa.to_int h)
+  | Error _ -> Alcotest.fail "remapped page must translate");
+  Ept.unmap e ~gpa:(gpa 0x4000);
+  checki "one unmap empties the page" 2 (Ept.mapped_pages e)
 
 let test_ept_sparse_high_addresses () =
   let e = Ept.create () in
@@ -265,6 +328,9 @@ let () =
             test_frame_alloc_distinct_aligned;
           Alcotest.test_case "free and reuse" `Quick test_frame_alloc_free_reuse;
           Alcotest.test_case "exhaustion" `Quick test_frame_alloc_exhaustion;
+          Alcotest.test_case "run is contiguous" `Quick test_frame_alloc_run_contiguous;
+          Alcotest.test_case "run exhaustion leaves allocator unchanged" `Quick
+            test_frame_alloc_run_exhaustion;
         ] );
       ( "ept",
         [
@@ -274,6 +340,9 @@ let () =
           Alcotest.test_case "misconfig marker (virtio doorbell)" `Quick
             test_ept_misconfig_marker;
           Alcotest.test_case "unmap" `Quick test_ept_unmap;
+          Alcotest.test_case "mapped count ignores misconfig markers" `Quick
+            test_ept_mapped_pages_misconfig;
+          Alcotest.test_case "mapped count on remap" `Quick test_ept_mapped_pages_remap;
           Alcotest.test_case "deep radix levels" `Quick test_ept_sparse_high_addresses;
           Alcotest.test_case "invept counter" `Quick test_ept_invept_counts;
           Alcotest.test_case "map range" `Quick test_ept_map_range;

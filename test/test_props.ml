@@ -1,6 +1,7 @@
 (* Cross-cutting property tests on the protocol-critical data paths:
    channel command serialization, VMCS transform behaviour, the SMT-core
-   state machine, virtqueue operation sequences, and fabric ordering. *)
+   state machine, virtqueue operation sequences, fabric ordering, guest
+   memory copies and EPT updates. *)
 
 module Time = Svt_engine.Time
 module Simulator = Svt_engine.Simulator
@@ -311,6 +312,119 @@ let prop_aspace_copy_noncontiguous =
       && Bytes.init len (fun i -> Char.chr (byte i)) = data
       && List.for_all scalars_agree (List.filter (fun i -> i >= 0) (0 :: straddles)))
 
+(* Random EPT updates agree with a reference table of pages. The pages
+   straddle a 512-page leaf-table boundary (504..527) or sit just below
+   2^47, where every level of the radix tree indexes a non-zero slot. *)
+module Ept = Svt_mem.Ept
+
+type ept_op =
+  | Map of int * int * int (* page, frame, perm bits *)
+  | Range of int * int * int * int (* first page, pages, frame, perm bits *)
+  | Misconfig of int * int (* page, tag *)
+  | Unmap of int
+
+let high_page = (1 lsl 35) - 1
+let low_pages = List.init 24 (fun i -> 504 + i)
+let high_pages = List.init 9 (fun i -> high_page - 8 + i)
+let group_end p = if p >= high_page - 8 then high_page else 527
+let tags = [| "net"; "blk"; "console" |]
+
+let perm_of b = { Ept.read = b land 1 <> 0; write = b land 2 <> 0; exec = b land 4 <> 0 }
+
+let ept_op_gen =
+  let open QCheck.Gen in
+  let page = oneof [ oneofl low_pages; oneofl high_pages ] in
+  let frame = map (fun f -> 0x40000 + f) (int_bound 4096) in
+  frequency
+    [
+      (3, map3 (fun p f b -> Map (p, f, b)) page frame (int_bound 7));
+      ( 2,
+        map3
+          (fun (p, n) f b -> Range (p, Stdlib.min n (group_end p - p + 1), f, b))
+          (pair page (int_range 1 12)) frame (int_bound 7) );
+      (2, map2 (fun p t -> Misconfig (p, t)) page (int_bound 2));
+      (2, map (fun p -> Unmap p) page);
+    ]
+
+let show_ept_op = function
+  | Map (p, f, b) -> Printf.sprintf "map %#x->%#x/%d" p f b
+  | Range (p, n, f, b) -> Printf.sprintf "range %#x+%d->%#x/%d" p n f b
+  | Misconfig (p, t) -> Printf.sprintf "misconfig %#x %s" p tags.(t)
+  | Unmap p -> Printf.sprintf "unmap %#x" p
+
+let gpa_of_page p = Svt_mem.Addr.Gpa.of_int (p * page)
+
+(* Apply [op] to [e]; [per_page] spells ranges as one [map] per page. *)
+let apply_ept_op ~per_page e = function
+  | Map (p, f, b) ->
+      Ept.map e ~gpa:(gpa_of_page p) ~hpa:(Hpa.of_int (f * page)) ~perm:(perm_of b)
+  | Range (p, n, f, b) when per_page ->
+      for i = 0 to n - 1 do
+        Ept.map e ~gpa:(gpa_of_page (p + i)) ~hpa:(Hpa.of_int ((f + i) * page))
+          ~perm:(perm_of b)
+      done
+  | Range (p, n, f, b) ->
+      Ept.map_range e ~gpa:(gpa_of_page p) ~hpa:(Hpa.of_int (f * page))
+        ~len:(n * page) ~perm:(perm_of b)
+  | Misconfig (p, t) -> Ept.mark_misconfig e ~gpa:(gpa_of_page p) ~tag:tags.(t)
+  | Unmap p -> Ept.unmap e ~gpa:(gpa_of_page p)
+
+let apply_model model = function
+  | Map (p, f, b) -> Hashtbl.replace model p (Ept.Page { hpa = Hpa.of_int (f * page); perm = perm_of b })
+  | Range (p, n, f, b) ->
+      for i = 0 to n - 1 do
+        Hashtbl.replace model (p + i)
+          (Ept.Page { hpa = Hpa.of_int ((f + i) * page); perm = perm_of b })
+      done
+  | Misconfig (p, t) -> Hashtbl.replace model p (Ept.Misconfig { tag = tags.(t) })
+  | Unmap p -> Hashtbl.remove model p
+
+let expected_translation model p off access =
+  let gpa = Svt_mem.Addr.Gpa.of_int ((p * page) + off) in
+  match Hashtbl.find_opt model p with
+  | None -> Error (Ept.Violation { gpa; access })
+  | Some (Ept.Misconfig { tag }) -> Error (Ept.Misconfiguration { gpa; tag })
+  | Some (Ept.Page { hpa; perm }) ->
+      let allowed =
+        match access with Ept.Read -> perm.read | Write -> perm.write | Exec -> perm.exec
+      in
+      if allowed then Ok (Hpa.add hpa off) else Error (Ept.Violation { gpa; access })
+
+let prop_ept_matches_model =
+  QCheck.Test.make ~name:"ept updates match a page-table model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_ept_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) ept_op_gen))
+    (fun ops ->
+      let e = Ept.create () and by_page = Ept.create () in
+      let model = Hashtbl.create 64 in
+      List.iter
+        (fun op ->
+          apply_ept_op ~per_page:false e op;
+          apply_ept_op ~per_page:true by_page op;
+          apply_model model op)
+        ops;
+      let present =
+        Hashtbl.fold (fun _ v n -> match v with Ept.Page _ -> n + 1 | _ -> n) model 0
+      in
+      let page_agrees p =
+        let gpa = gpa_of_page p in
+        let want = Hashtbl.find_opt model p in
+        Ept.lookup e gpa = want
+        && Ept.lookup by_page gpa = want
+        && List.for_all
+             (fun access ->
+               let off = 0x123 in
+               let at = Svt_mem.Addr.Gpa.add gpa off in
+               Ept.translate e ~gpa:at ~access = expected_translation model p off access
+               && Ept.translate by_page ~gpa:at ~access
+                  = expected_translation model p off access)
+             [ Ept.Read; Ept.Write; Ept.Exec ]
+      in
+      Ept.mapped_pages e = present
+      && Ept.mapped_pages by_page = present
+      && List.for_all page_agrees (low_pages @ high_pages))
+
 let () =
   Alcotest.run "properties"
     [
@@ -328,4 +442,6 @@ let () =
       ( "guest-memory-copies",
         List.map QCheck_alcotest.to_alcotest
           [ prop_copy_matches_bytewise; prop_aspace_copy_noncontiguous ] );
+      ( "ept-updates",
+        List.map QCheck_alcotest.to_alcotest [ prop_ept_matches_model ] );
     ]
