@@ -75,6 +75,24 @@ let duration_ms =
 
 let make_sys mode level = System.of_config (System.Config.make ~mode ~level ())
 
+(* The campaign workload registry as a closed enum, so a misspelt name is
+   a usage error (exit 124) listing the valid ones. The trace and
+   profile subcommands drive one built stack, so they pass only the
+   stack-shaped names. *)
+let workload_arg names =
+  let alts = List.map (fun n -> (n, n)) names in
+  Arg.(value & opt (enum alts) "cpuid"
+       & info [ "w"; "workload" ] ~docv:"NAME"
+           ~doc:("Workload to drive: " ^ doc_alts_enum alts ^ "."))
+
+(* A run that spends its event fuel ends with a one-line error and exit
+   1, the status a sweep gives a timeout row. *)
+let or_budget_error cmd f =
+  try f ()
+  with Svt_engine.Simulator.Budget_exhausted _ as e ->
+    Printf.eprintf "%s: %s\n" cmd (Printexc.to_string e);
+    exit 1
+
 (* ---- cpuid ---- *)
 
 let cpuid_cmd =
@@ -227,12 +245,6 @@ let trace_cmd =
   let module Runner = Svt_campaign.Runner in
   let module Recorder = Svt_obs.Recorder in
   let module Timeline = Svt_obs.Timeline in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload to drive (a campaign registry name: cpuid, rr, \
-                   stream, ioping, fio, etc, tpcc, video).")
-  in
   let vcpus_arg =
     Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
   in
@@ -252,7 +264,7 @@ let trace_cmd =
                    of each kind the run should produce; exit 1 on failure.")
   in
   (* The span kinds a run at this level must produce (used by --validate
-     and the trace-smoke make target). *)
+     and the trace-smoke golden rule). *)
   let required_kinds level =
     match level with
     | System.L2_nested -> [ "vm-exit"; "svt-resume"; "vmcs-transform" ]
@@ -305,10 +317,14 @@ let trace_cmd =
   in
   let run mode level workload vcpus seed out validate =
     let p = Spec.point ~level ~workload ~vcpus ~seed mode in
-    let sys = Runner.make_system p in
+    let sys =
+      Runner.make_system ~max_sim_events:Runner.default_max_sim_events p
+    in
     let tl = Recorder.enable_timeline (System.obs sys) in
     let ct = Recorder.enable_chrome (System.obs sys) in
-    let metrics = Runner.workload_metrics p sys in
+    let metrics =
+      or_budget_error "trace" (fun () -> Runner.workload_metrics p sys)
+    in
     Svt_obs.Chrome_trace.write_file ct out;
     Printf.printf "%s at %s under %s: %d spans -> %s\n" workload
       (System.level_name level) (Mode.name mode) (Timeline.total_spans tl) out;
@@ -330,8 +346,9 @@ let trace_cmd =
            `P "svt_sim trace --mode baseline --level l2 --out trace.json; \
                then open the file in https://ui.perfetto.dev";
          ])
-    Term.(const run $ mode_arg $ level_arg $ workload_arg $ vcpus_arg
-          $ seed_arg $ out_arg $ validate_arg)
+    Term.(const run $ mode_arg $ level_arg
+          $ workload_arg Runner.stack_workload_names
+          $ vcpus_arg $ seed_arg $ out_arg $ validate_arg)
 
 (* ---- self-profiling ---- *)
 
@@ -341,12 +358,6 @@ let profile_cmd =
   let module Profiler = Svt_obs.Profiler in
   let module Probe = Svt_obs.Probe in
   let module Simulator = Svt_engine.Simulator in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload to profile (a campaign registry name: cpuid, rr, \
-                   stream, ioping, fio, etc, tpcc, video).")
-  in
   let vcpus_arg =
     Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
   in
@@ -434,12 +445,16 @@ let profile_cmd =
   in
   let run mode level workload vcpus seed format metric out validate =
     let p = Spec.point ~level ~workload ~vcpus ~seed mode in
-    let sys = Runner.make_system p in
+    let sys =
+      Runner.make_system ~max_sim_events:Runner.default_max_sim_events p
+    in
     let prof = Profiler.create () in
     Probe.subscribe (System.probe sys) (Profiler.sink prof);
     Simulator.set_observer (System.sim sys) (Some (Profiler.observer prof));
     Profiler.start prof;
-    let metrics = Runner.workload_metrics p sys in
+    let metrics =
+      or_budget_error "profile" (fun () -> Runner.workload_metrics p sys)
+    in
     Profiler.stop prof;
     let q = Simulator.queue_stats (System.sim sys) in
     let extra =
@@ -495,8 +510,10 @@ let profile_cmd =
            `P "svt_sim profile --format table | head -30 shows the hot \
                aggregate paths directly.";
          ])
-    Term.(const run $ mode_arg $ level_arg $ workload_arg $ vcpus_arg
-          $ seed_arg $ format_arg $ metric_arg $ out_arg $ validate_arg)
+    Term.(const run $ mode_arg $ level_arg
+          $ workload_arg Runner.stack_workload_names
+          $ vcpus_arg $ seed_arg $ format_arg $ metric_arg $ out_arg
+          $ validate_arg)
 
 (* ---- campaign sweeps ---- *)
 
@@ -582,7 +599,8 @@ let sweep_cmd =
     Arg.(value & flag
          & info [ "deterministic" ]
              ~doc:"Pin the per-row wall_s field to 0 so two ledgers of the \
-                   same campaign are byte-identical (used by resume-smoke).")
+                   same campaign are byte-identical (the resume golden rule \
+                   relies on it).")
   in
   let telemetry_every =
     Arg.(value & opt int 0
@@ -700,11 +718,6 @@ let faults_cmd =
              ~doc:"Run mode (default sw-svt: the mode with the most \
                    injection sites).")
   in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload to drive under faults (campaign registry name).")
-  in
   let vcpus_arg =
     Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
   in
@@ -741,7 +754,7 @@ let faults_cmd =
           Spec.point ~level ~workload ~vcpus ~seed
             ~fault:(Plan.to_string plan) mode
         in
-        let metrics = Runner.exec p in
+        let metrics = or_budget_error "faults" (fun () -> Runner.exec p) in
         Printf.printf "%s\n" (Spec.canonical_key p);
         Printf.printf "run_id %s\n" (Spec.run_id p);
         let faulty, plain =
@@ -766,8 +779,8 @@ let faults_cmd =
         | None -> ()
         | Some path ->
             (* wall_s is pinned to 0.0: it is the one nondeterministic
-               field, and this subcommand's ledger rows are byte-diffed
-               by `make fault-smoke`. *)
+               field, and this subcommand's ledger rows are diffed
+               against test/expected/fault-smoke.expected. *)
             let entry =
               {
                 Ledger.run_id = Spec.run_id p;
@@ -794,8 +807,9 @@ let faults_cmd =
                the same seed and plan and the ledger rows are \
                byte-identical.";
          ])
-    Term.(const run $ mode_arg $ level_arg $ workload_arg $ vcpus_arg
-          $ seed_arg $ plan_arg $ out_arg)
+    Term.(const run $ mode_arg $ level_arg
+          $ workload_arg Runner.workload_names $ vcpus_arg $ seed_arg
+          $ plan_arg $ out_arg)
 
 (* ---- host consolidation (lib/sched) ---- *)
 
@@ -1030,8 +1044,8 @@ let cluster_cmd =
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "out" ] ~docv:"FILE"
-             ~doc:"Also write the report to FILE (byte-stable: the smoke \
-                   gate diffs it).")
+             ~doc:"Also write the report to FILE (byte-stable: the golden \
+                   tests diff it).")
   in
   let run arch hosts cores smt tenants vcpus mode policy fault seed
       horizon_ms strategy overcommit quota out =
@@ -1242,7 +1256,7 @@ let fuzz_cmd =
 (* The three-strategy comparison in one table: baseline reflection at
    every level, SVt acceleration (SW and HW), delegation (OoH) and the
    full-nesting upper bound. Everything in it is simulated, so two runs
-   produce byte-identical output — `make ooh-smoke` relies on that. *)
+   produce byte-identical output — the fig6 golden file relies on that. *)
 let fig6_cmd =
   let module Microbench = Svt_workloads.Microbench in
   let out_arg =
@@ -1269,8 +1283,8 @@ let fig6_cmd =
       rows;
     (* Per-exit latency profile: nested baseline vs this backend's SVt,
        with the backend's own exit spellings. On ARM every baseline row
-       is costlier and every speedup larger — the claim the arm-smoke
-       gate pins byte-for-byte. *)
+       is costlier and every speedup larger — the claim the arm-fig6
+       golden file pins byte-for-byte. *)
     let exits = Microbench.per_exit_table ~arch () in
     Buffer.add_string buf
       (Printf.sprintf "\nper-exit L2 latency [%s]\n"
@@ -1297,19 +1311,13 @@ let fig6_cmd =
        ~doc:"The Figure 6 cpuid table across all run modes (baseline \
              levels, SW/HW SVt, ooh, hw-full-nesting) plus the per-exit \
              latency profile of the selected backend; byte-deterministic, \
-             for smoke-diffing.")
+             for golden-file diffs.")
     Term.(const run $ arch_arg $ out_arg)
 
 (* ---- run one campaign point ---- *)
 
 let run_cmd =
   let module Spec = Svt_campaign.Spec in
-  let workload_arg =
-    Arg.(value & opt string "cpuid"
-         & info [ "w"; "workload" ] ~docv:"NAME"
-             ~doc:"Workload from the campaign registry (cpuid, rr, stream, \
-                   ioping, fio, etc, tpcc, video, consolidate, ...).")
-  in
   let vcpus_arg =
     Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
   in
@@ -1318,7 +1326,7 @@ let run_cmd =
   in
   let run arch mode level workload vcpus seed =
     let p = Spec.point ~arch ~level ~workload ~vcpus ~seed mode in
-    let metrics = Svt_campaign.Runner.exec p in
+    let metrics = or_budget_error "run" (fun () -> Svt_campaign.Runner.exec p) in
     Printf.printf "key    %s\n" (Spec.canonical_key p);
     Printf.printf "run_id %s\n" (Spec.run_id p);
     List.iter
@@ -1336,8 +1344,9 @@ let run_cmd =
                svt_sim run --arch arm --mode sw-svt; svt_sim run --mode \
                sw-svt -w consolidate";
          ])
-    Term.(const run $ arch_arg $ mode_arg $ level_arg $ workload_arg
-          $ vcpus_arg $ seed_arg)
+    Term.(const run $ arch_arg $ mode_arg $ level_arg
+          $ workload_arg Svt_campaign.Runner.workload_names $ vcpus_arg
+          $ seed_arg)
 
 let default =
   Term.(ret (const (`Help (`Pager, None))))

@@ -58,7 +58,7 @@ val execute :
 
     [max_rows] stops the campaign after that many rows complete
     (outcome is [interrupted]; exit code 3) — the crash-simulation hook
-    for resume-smoke. [resume] reads the ledger back via
+    for the resume golden test. [resume] reads the ledger back via
     {!Ledger.recover} before running and skips points whose latest row
     is [ok]. [deterministic] pins the per-row [wall_s] field to [0.0]
     so two ledgers of the same campaign are byte-identical.

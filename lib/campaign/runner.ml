@@ -36,9 +36,8 @@ type result = {
   metrics : (string * float) list;
 }
 
-let workload_names =
-  [ "cpuid"; "rr"; "stream"; "ioping"; "fio"; "etc"; "tpcc"; "video"; "spin";
-    "consolidate"; "cluster" ]
+let stack_workload_names =
+  [ "cpuid"; "rr"; "stream"; "ioping"; "fio"; "etc"; "tpcc"; "video"; "spin" ]
 
 (* Default event fuel for campaign runs: far above any real workload
    (the largest sweep rows record ~10^5 events) but low enough that a
@@ -69,6 +68,106 @@ let make_system ?max_sim_events ?max_sim_time (p : Spec.point) =
     (System.Config.make ~arch:p.Spec.arch ~machine:config ~n_vcpus ~faults
        ~fault_seed ?max_sim_events ?max_sim_time ~mode:p.Spec.mode
        ~level:p.Spec.level ())
+
+(* The point's SVt-thread placement policy; the empty axis value means
+   the scheduler's default. *)
+let policy_of_point (p : Spec.point) =
+  match p.Spec.policy with
+  | "" -> Svt_sched.Policy.default
+  | s -> (
+      match Svt_sched.Policy.of_string s with
+      | Ok pol -> pol
+      | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e))
+
+(* The consolidation workload is host-shaped, not stack-shaped: it
+   builds its own topology and tenant set from the point's cores / smt /
+   tenants / policy axes and time-slices [tenants] copies of the mode
+   under the scheduler. Bounded by the horizon, not by event fuel. *)
+let consolidate_horizon = Time.of_ms 20
+
+let consolidate_metrics (p : Spec.point) =
+  let rng = Prng.of_seed (Spec.run_hash p) in
+  let topology =
+    Svt_sched.Topology.create ~sockets:1 ~cores_per_socket:p.Spec.cores
+      ~smt_per_core:p.Spec.smt ()
+  in
+  let host = Svt_sched.Host.create ~topology () in
+  let policy = policy_of_point p in
+  for i = 0 to p.Spec.tenants - 1 do
+    let spec =
+      Svt_sched.Host.tenant_spec
+        ~name:(Printf.sprintf "t%d" i)
+        ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
+        ~seed:(Prng.int rng (1 lsl 30))
+        p.Spec.mode
+    in
+    match Svt_sched.Host.add_tenant host spec with
+    | Ok () -> ()
+    | Error errs ->
+        failwith
+          (Fmt.str "run %s: tenant %d rejected: %a" (Spec.run_id p) i
+             (Fmt.list ~sep:Fmt.comma System.Config.pp_error)
+             errs)
+  done;
+  Svt_sched.Host.run host ~horizon:consolidate_horizon;
+  let r = Svt_sched.Host.report host in
+  Svt_sched.Host.fields r
+  @ [ ("sim_now_us", Time.to_us_f (Svt_sched.Host.now host)) ]
+
+(* The fleet workload: [hosts] Sched.Hosts behind the admission
+   controller, [tenants] submissions of the point's mode/policy/vcpus,
+   cluster-scope faults from the point's plan. Like consolidate it is
+   horizon-bounded and host-shaped; the stack half of the fault axis
+   must be empty (stack faults strike inside one System — there is no
+   single System here to strike). *)
+let cluster_horizon = Time.of_ms 20
+
+let cluster_metrics (p : Spec.point) =
+  let stack_plan, cluster_plan =
+    match Svt_fault.Cluster_plan.split_of_string p.Spec.fault with
+    | Ok sp -> sp
+    | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e)
+  in
+  if not (Svt_fault.Plan.is_empty stack_plan) then
+    failwith
+      (Printf.sprintf
+         "run %s: cluster workload takes cluster-scope faults only (got %s)"
+         (Spec.run_id p)
+         (Svt_fault.Plan.to_string stack_plan));
+  let policy = policy_of_point p in
+  let cluster =
+    Svt_cluster.Cluster.create
+      {
+        Svt_cluster.Cluster.default_config with
+        n_hosts = p.Spec.hosts;
+        sockets = 1;
+        cores_per_socket = p.Spec.cores;
+        smt_per_core = p.Spec.smt;
+        plan = cluster_plan;
+        seed = Spec.run_hash p;
+      }
+  in
+  let rng = Prng.of_seed (Spec.run_hash p) in
+  for i = 0 to p.Spec.tenants - 1 do
+    ignore
+      (Svt_cluster.Cluster.submit cluster
+         (Svt_sched.Host.tenant_spec
+            ~name:(Printf.sprintf "t%d" i)
+            ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
+            ~seed:(Prng.int rng (1 lsl 30))
+            p.Spec.mode))
+  done;
+  Svt_cluster.Cluster.run cluster ~horizon:cluster_horizon;
+  let r = Svt_cluster.Cluster.report cluster in
+  Svt_cluster.Cluster.fields r
+  @ [ ("sim_now_us", Time.to_us_f (Svt_cluster.Cluster.now cluster)) ]
+
+(* The host-shaped workloads, which {!exec} runs without a single
+   stack. *)
+let host_workloads =
+  [ ("consolidate", consolidate_metrics); ("cluster", cluster_metrics) ]
+
+let workload_names = stack_workload_names @ List.map fst host_workloads
 
 let workload_metrics (p : Spec.point) sys =
   match p.Spec.workload with
@@ -119,8 +218,8 @@ let workload_metrics (p : Spec.point) sys =
       ]
   | "spin" ->
       (* Deliberately hung: an unbounded reflection loop (every cpuid is
-         a full nested exit episode), the resume-smoke / fuel-budget
-         victim. Only the simulator budget ends it — with no budget set
+         a full nested exit episode), the resume golden test's /
+         fuel-budget victim. Only the simulator budget ends it — with no budget set
          this never returns. *)
       let vcpu = System.vcpu0 sys in
       Svt_hyp.Vcpu.spawn_program vcpu (fun v ->
@@ -129,129 +228,38 @@ let workload_metrics (p : Spec.point) sys =
           done);
       System.run sys;
       [ ("iterations", nan) ]
+  | w when List.mem_assoc w host_workloads ->
+      failwith
+        (Printf.sprintf
+           "workload %S is host-shaped: it builds its own hosts rather than \
+            driving one stack, so it runs only through Runner.exec"
+           w)
   | w ->
       failwith
         (Printf.sprintf "unknown workload %S (expected one of %s)" w
            (String.concat ", " workload_names))
 
-(* The consolidation workload is host-shaped, not stack-shaped: it
-   builds its own topology and tenant set from the point's cores / smt /
-   tenants / policy axes and time-slices [tenants] copies of the mode
-   under the scheduler. Bounded by the horizon, not by event fuel. *)
-let consolidate_horizon = Time.of_ms 20
-
-let consolidate_metrics (p : Spec.point) =
-  let rng = Prng.of_seed (Spec.run_hash p) in
-  let topology =
-    Svt_sched.Topology.create ~sockets:1 ~cores_per_socket:p.Spec.cores
-      ~smt_per_core:p.Spec.smt ()
-  in
-  let host = Svt_sched.Host.create ~topology () in
-  let policy =
-    match p.Spec.policy with
-    | "" -> Svt_sched.Policy.default
-    | s -> (
-        match Svt_sched.Policy.of_string s with
-        | Ok pol -> pol
-        | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e))
-  in
-  for i = 0 to p.Spec.tenants - 1 do
-    let spec =
-      Svt_sched.Host.tenant_spec
-        ~name:(Printf.sprintf "t%d" i)
-        ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
-        ~seed:(Prng.int rng (1 lsl 30))
-        p.Spec.mode
-    in
-    match Svt_sched.Host.add_tenant host spec with
-    | Ok () -> ()
-    | Error errs ->
-        failwith
-          (Fmt.str "run %s: tenant %d rejected: %a" (Spec.run_id p) i
-             (Fmt.list ~sep:Fmt.comma System.Config.pp_error)
-             errs)
-  done;
-  Svt_sched.Host.run host ~horizon:consolidate_horizon;
-  let r = Svt_sched.Host.report host in
-  Svt_sched.Host.fields r
-  @ [ ("sim_now_us", Time.to_us_f (Svt_sched.Host.now host)) ]
-
-(* The fleet workload: [hosts] Sched.Hosts behind the admission
-   controller, [tenants] submissions of the point's mode/policy/vcpus,
-   cluster-scope faults from the point's plan. Like consolidate it is
-   horizon-bounded and host-shaped; the stack half of the fault axis
-   must be empty (stack faults strike inside one System — there is no
-   single System here to strike). *)
-let cluster_horizon = Time.of_ms 20
-
-let cluster_metrics (p : Spec.point) =
-  let stack_plan, cluster_plan =
-    match Svt_fault.Cluster_plan.split_of_string p.Spec.fault with
-    | Ok sp -> sp
-    | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e)
-  in
-  if not (Svt_fault.Plan.is_empty stack_plan) then
-    failwith
-      (Printf.sprintf
-         "run %s: cluster workload takes cluster-scope faults only (got %s)"
-         (Spec.run_id p)
-         (Svt_fault.Plan.to_string stack_plan));
-  let policy =
-    match p.Spec.policy with
-    | "" -> Svt_sched.Policy.default
-    | s -> (
-        match Svt_sched.Policy.of_string s with
-        | Ok pol -> pol
-        | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e))
-  in
-  let cluster =
-    Svt_cluster.Cluster.create
-      {
-        Svt_cluster.Cluster.default_config with
-        n_hosts = p.Spec.hosts;
-        sockets = 1;
-        cores_per_socket = p.Spec.cores;
-        smt_per_core = p.Spec.smt;
-        plan = cluster_plan;
-        seed = Spec.run_hash p;
-      }
-  in
-  let rng = Prng.of_seed (Spec.run_hash p) in
-  for i = 0 to p.Spec.tenants - 1 do
-    ignore
-      (Svt_cluster.Cluster.submit cluster
-         (Svt_sched.Host.tenant_spec
-            ~name:(Printf.sprintf "t%d" i)
-            ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
-            ~seed:(Prng.int rng (1 lsl 30))
-            p.Spec.mode))
-  done;
-  Svt_cluster.Cluster.run cluster ~horizon:cluster_horizon;
-  let r = Svt_cluster.Cluster.report cluster in
-  Svt_cluster.Cluster.fields r
-  @ [ ("sim_now_us", Time.to_us_f (Svt_cluster.Cluster.now cluster)) ]
-
 let exec ?(max_sim_events = default_max_sim_events) ?max_sim_time p =
-  if p.Spec.workload = "consolidate" then consolidate_metrics p
-  else if p.Spec.workload = "cluster" then cluster_metrics p
-  else
-  let sys = make_system ~max_sim_events ?max_sim_time p in
-  (* Per-span-kind summaries ride along in every ledger row, so
-     sweep-diff can compare exit-path composition across revisions. The
-     timeline sink never advances virtual time, so the workload metrics
-     are identical with or without it. *)
-  let tl = Svt_obs.Recorder.enable_timeline (System.obs sys) in
-  let metrics = workload_metrics p sys in
-  let sim = System.sim sys in
-  let inj = System.injector sys in
-  let fault_fields =
-    if Svt_fault.Injector.is_active inj then Svt_fault.Injector.fields inj
-    else []
-  in
-  metrics
-  @ Svt_obs.Export.fields tl
-  @ fault_fields
-  @ [
-      ("sim_events", float_of_int (Svt_engine.Simulator.events_processed sim));
-      ("sim_now_us", Time.to_us_f (Svt_engine.Simulator.now sim));
-    ]
+  match List.assoc_opt p.Spec.workload host_workloads with
+  | Some host_metrics -> host_metrics p
+  | None ->
+      let sys = make_system ~max_sim_events ?max_sim_time p in
+      (* Per-span-kind summaries ride along in every ledger row, so
+         sweep-diff can compare exit-path composition across revisions. The
+         timeline sink never advances virtual time, so the workload metrics
+         are identical with or without it. *)
+      let tl = Svt_obs.Recorder.enable_timeline (System.obs sys) in
+      let metrics = workload_metrics p sys in
+      let sim = System.sim sys in
+      let inj = System.injector sys in
+      let fault_fields =
+        if Svt_fault.Injector.is_active inj then Svt_fault.Injector.fields inj
+        else []
+      in
+      metrics
+      @ Svt_obs.Export.fields tl
+      @ fault_fields
+      @ [
+          ("sim_events", float_of_int (Svt_engine.Simulator.events_processed sim));
+          ("sim_now_us", Time.to_us_f (Svt_engine.Simulator.now sim));
+        ]

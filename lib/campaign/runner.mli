@@ -34,10 +34,17 @@ type result = {
           empty unless [status = Run_ok] *)
 }
 
+val stack_workload_names : string list
+(** The stack-shaped workloads, which {!workload_metrics} drives on one
+    built system: cpuid, rr, stream, ioping, fio, etc, tpcc, video, spin
+    (a deliberately hung reflection loop for exercising the fuel budget
+    — never run it without one). *)
+
 val workload_names : string list
-(** The registry: cpuid, rr, stream, ioping, fio, etc, tpcc, video,
-    spin (a deliberately hung reflection loop for exercising the fuel
-    budget — never run it without one). *)
+(** The registry: {!stack_workload_names} followed by the host-shaped
+    workloads consolidate (tenants time-sliced on one scheduled host)
+    and cluster (a fleet of hosts behind admission control), which build
+    their own hosts and run only through {!exec}. *)
 
 val default_max_sim_events : int
 (** {!exec}'s default event fuel (50M): far above any real workload but
@@ -56,7 +63,10 @@ val make_system :
 
 val workload_metrics : Spec.point -> Svt_core.System.t -> (string * float) list
 (** Drive the point's workload on an already-built system and return
-    its metric list (without the [sim_*] extras {!exec} appends). *)
+    its metric list (without the [sim_*] extras {!exec} appends).
+    Raises [Failure] for a host-shaped workload (saying it must go
+    through {!exec}) and for an unknown one (listing
+    {!workload_names}). *)
 
 val exec :
   ?max_sim_events:int ->

@@ -14,6 +14,11 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* --- Spec ---------------------------------------------------------------- *)
 
 let test_cartesian_counts () =
@@ -385,11 +390,6 @@ let test_ledger_arch_compat () =
     }
   in
   (* x86 rows keep the v3 wire format byte-for-byte: no arch key *)
-  let contains_sub s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let x86_line = Ledger.line_of_entry_crc (entry x86) in
   checkb "x86 row has no arch field" false (contains_sub x86_line "arch");
   (* an ARM row round-trips byte-stably with its arch field *)
@@ -545,7 +545,7 @@ let test_recover_truncation_property () =
 
 (* Ledger numbers must survive write -> parse -> write byte-stably:
    resume appends rows next to rows parsed back from disk, and the
-   resume-smoke cmp demands the bytes agree. *)
+   resume golden test demands the bytes agree. *)
 let test_number_round_trip () =
   let values =
     [
@@ -763,6 +763,34 @@ let test_fuel_budget_cuts_hung_workload () =
   checkb "budget recorded" true
     (List.assoc "budget.max_events" r.Runner.metrics = 20_000.0)
 
+(* [workload_metrics] drives one built stack. A host-shaped workload
+   must be refused as such (it runs only through [exec]), and an unknown
+   one must be refused with the registry listed. *)
+let test_workload_metrics_errors () =
+  let failure_of workload =
+    let p = Spec.point ~workload Mode.Baseline in
+    match Runner.workload_metrics p (Runner.make_system p) with
+    | _ -> Alcotest.failf "workload %S: expected a Failure" workload
+    | exception Failure msg -> msg
+  in
+  List.iter
+    (fun host ->
+      let msg = failure_of host in
+      checkb (host ^ " is host-shaped") true (contains_sub msg "host-shaped");
+      checkb (host ^ " points at exec") true (contains_sub msg "exec");
+      checkb (host ^ " is not unknown") false (contains_sub msg "unknown"))
+    [ "consolidate"; "cluster" ];
+  let msg = failure_of "nosuch" in
+  checkb "unknown workload named" true (contains_sub msg "unknown workload");
+  List.iter
+    (fun name ->
+      checkb ("registry lists " ^ name) true (contains_sub msg name))
+    Runner.workload_names;
+  checkb "registry covers stack and host workloads" true
+    (List.for_all
+       (fun n -> List.mem n Runner.workload_names)
+       ("consolidate" :: "cluster" :: Runner.stack_workload_names))
+
 (* --- Telemetry heartbeats in the ledger ----------------------------------- *)
 
 module Heartbeat = Svt_campaign.Heartbeat
@@ -921,6 +949,8 @@ let () =
             test_resume_survives_torn_tail;
           Alcotest.test_case "fuel budget cuts hung workload" `Quick
             test_fuel_budget_cuts_hung_workload;
+          Alcotest.test_case "workload_metrics errors" `Quick
+            test_workload_metrics_errors;
         ] );
       ( "telemetry",
         [
