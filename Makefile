@@ -1,5 +1,5 @@
-.PHONY: build test check fmt-check sweep-smoke profile-smoke bench-engine \
-	bench-obs perf-check clean
+.PHONY: build test check fmt-check sweep-smoke profile-smoke bench-obs \
+	perf-check clean
 
 # The default verification bundle: tier-1 tests plus the host-clock
 # gates. Every gate on simulated output (trace export, fault injection,
@@ -43,12 +43,6 @@ profile-smoke: build
 	dune exec bin/svt_sim.exe -- profile --mode sw-svt --level l2 \
 		--out _build/profile-smoke.folded --validate
 	@echo "profile-smoke: folded stacks at _build/profile-smoke.folded"
-
-# Engine/fuzz-harness throughput baseline: BENCH_engine.json records
-# events/sec and execs/sec on a fixed-seed batch so the perf trajectory
-# is visible across PRs (ROADMAP item 1).
-bench-engine: build
-	dune exec bench/main.exe -- engine
 
 # Self-profiling trajectory: BENCH_obs.json records events/sec on the
 # fig6 and consolidation workloads plus the armed-profiler overhead

@@ -7,7 +7,11 @@
        dune exec bench/main.exe -- jobs=4   # shard run matrices over domains
 
    Sections: table1 table2 table3 table4 fig6 fig7 fig8 fig9 fig10
-             channels ablation obs faults bechamel
+             channels ablation faults sched cluster profile perf-check
+
+   An unknown section or a malformed jobs=N exits 2 and lists the
+   sections. Every section's quick output except fig10's is pinned in
+   test/golden.
 
    The matrix-shaped sections (fig6, fig7, fig10) go through the
    lib/campaign worker pool: jobs=1 (the default) is the sequential
@@ -24,76 +28,57 @@ module Mode = Svt_core.Mode
 module System = Svt_core.System
 module Guest = Svt_core.Guest
 module Vcpu = Svt_hyp.Vcpu
-module Breakdown = Svt_hyp.Breakdown
 module Table = Svt_stats.Table
 module Metrics = Svt_stats.Metrics
 module Paper = Svt_report.Paper
 module Microbench = Svt_workloads.Microbench
-module Netperf = Svt_workloads.Netperf
-module Disk = Svt_workloads.Disk
 module Etc = Svt_workloads.Etc_workload
-module Tpcc = Svt_workloads.Tpcc
-module Video = Svt_workloads.Video
 module Channel_bench = Svt_workloads.Channel_bench
 module Spec = Svt_campaign.Spec
 module Campaign = Svt_campaign.Campaign
+module Runner = Svt_campaign.Runner
 
-let quick = Array.exists (fun a -> a = "quick") Sys.argv
+let args = List.tl (Array.to_list Sys.argv)
+let quick = List.mem "quick" args
 
-let is_flag a =
-  a = "quick" || (String.length a > 5 && String.sub a 0 5 = "jobs=")
-
-let jobs =
-  Array.fold_left
-    (fun acc a ->
-      if String.length a > 5 && String.sub a 0 5 = "jobs=" then
-        match int_of_string_opt (String.sub a 5 (String.length a - 5)) with
-        | Some n when n >= 1 -> n
-        | _ -> acc
-      else acc)
-    1 Sys.argv
-
-let wanted section =
-  let args =
-    Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> not (is_flag a))
-  in
-  args = [] || List.mem section args
+(* Worker domains for the campaign-shaped sections; set from jobs=N. *)
+let jobs = ref 1
 
 (* Run a bench matrix through the campaign pool and hand back a lookup
    by run_id; a failed point aborts the section like an uncaught
    exception used to. *)
 let campaign_lookup ?run ~label spec =
-  let o = Campaign.execute ~jobs ~retries:0 ~progress_label:label ?run spec in
+  let o = Campaign.execute ~jobs:!jobs ~retries:0 ~progress_label:label ?run spec in
+  let fail point what =
+    failwith (Printf.sprintf "%s: %s %s" label (Spec.canonical_key point) what)
+  in
   List.iter
-    (fun (r : Svt_campaign.Runner.result) ->
-      match r.Svt_campaign.Runner.status with
-      | Svt_campaign.Runner.Run_ok -> ()
-      | Svt_campaign.Runner.Run_failed msg ->
-          failwith (Printf.sprintf "%s: %s failed: %s" label
-                      (Spec.canonical_key r.Svt_campaign.Runner.point) msg)
-      | Svt_campaign.Runner.Run_timeout ->
-          failwith (Printf.sprintf "%s: %s timed out" label
-                      (Spec.canonical_key r.Svt_campaign.Runner.point))
-      | Svt_campaign.Runner.Run_quarantined msg ->
-          failwith (Printf.sprintf "%s: %s quarantined: %s" label
-                      (Spec.canonical_key r.Svt_campaign.Runner.point) msg))
+    (fun (r : Runner.result) ->
+      match r.Runner.status with
+      | Runner.Run_ok -> ()
+      | Runner.Run_failed msg -> fail r.Runner.point ("failed: " ^ msg)
+      | Runner.Run_timeout -> fail r.Runner.point "timed out"
+      | Runner.Run_quarantined msg -> fail r.Runner.point ("quarantined: " ^ msg))
     o.Campaign.results;
   fun point metric ->
     match
       List.find_opt
-        (fun (r : Svt_campaign.Runner.result) ->
-          r.Svt_campaign.Runner.run_id = Spec.run_id point)
+        (fun (r : Runner.result) -> r.Runner.run_id = Spec.run_id point)
         o.Campaign.results
     with
+    | None -> fail point "missing"
     | Some r -> (
-        match List.assoc_opt metric r.Svt_campaign.Runner.metrics with
+        match List.assoc_opt metric r.Runner.metrics with
         | Some v -> v
-        | None -> failwith (Printf.sprintf "%s: no metric %S" label metric))
-    | None ->
-        failwith (Printf.sprintf "%s: missing point %s" label
-                    (Spec.canonical_key point))
+        | None -> fail point (Printf.sprintf "has no metric %S" metric))
 
 let header title = Printf.printf "\n==== %s ====\n\n%!" title
+
+(* A registry workload and its headline metric. *)
+let registry name =
+  let w = Runner.find name in
+  (w, Option.get w.Runner.headline)
+
 let nested ?arch ?machine ?n_vcpus ?shadow ?multiplex_contexts mode =
   System.of_config
     (System.Config.make ?arch ?machine ?n_vcpus ?shadow ?multiplex_contexts
@@ -252,59 +237,51 @@ let fig6 () =
 
 let fig7 () =
   header "Figure 7: I/O subsystem benchmarks";
-  let rr_n = if quick then 100 else 300 in
-  let io_n = if quick then 100 else 250 in
-  let fio_n = if quick then 200 else 400 in
-  let stream_d = Time.of_ms (if quick then 15 else 30) in
-  (* The 6-benchmark × 3-mode matrix through the campaign pool, with the
-     bench harness's own (quick-aware) parameters injected as a custom
-     run function keyed on the spec's workload name. *)
-  let drivers =
+  let int n = Runner.Param.Int n in
+  let op o = ("op", Runner.Param.Choice o) in
+  let rr = [ ("transactions", int (if quick then 100 else 300)) ] in
+  let stream = [ ("duration-ms", int (if quick then 15 else 30)) ] in
+  let io_n = ("ops", int (if quick then 100 else 250)) in
+  let fio_n = ("ops", int (if quick then 200 else 400)) in
+  (* (row label, Paper.fig7 row, registry workload, its quick-aware
+     parameters). The 6-row x 4-mode matrix runs through the campaign
+     pool, each point keyed on its Paper.fig7 row name. *)
+  let rows =
     [
-      ("rr", fun s -> (Netperf.run_rr ~transactions:rr_n s).Netperf.mean_rtt_us);
-      ("stream", fun s -> (Netperf.run_stream ~duration:stream_d s).Netperf.mbps);
-      ("ioping-rd",
-       fun s -> (Disk.run_ioping ~ops:io_n ~op:Disk.Randread s).Disk.mean_us);
-      ("fio-rd",
-       fun s -> (Disk.run_fio ~ops:fio_n ~op:Disk.Randread s).Disk.kb_per_sec);
-      ("ioping-wr",
-       fun s -> (Disk.run_ioping ~ops:io_n ~op:Disk.Randwrite s).Disk.mean_us);
-      ("fio-wr",
-       fun s -> (Disk.run_fio ~ops:fio_n ~op:Disk.Randwrite s).Disk.kb_per_sec);
+      ("network latency", "net-latency", "rr", rr);
+      ("network bandwidth", "net-bandwidth", "stream", stream);
+      ("disk randrd latency", "disk-randrd-latency", "ioping", [ op "randread"; io_n ]);
+      ("disk randrd bandwidth", "disk-randrd-bandwidth", "fio", [ op "randread"; fio_n ]);
+      ("disk randwr latency", "disk-randwr-latency", "ioping", [ op "randwrite"; io_n ]);
+      ("disk randwr bandwidth", "disk-randwr-bandwidth", "fio", [ op "randwrite"; fio_n ]);
     ]
   in
   let modes = [ Mode.Baseline; Mode.sw_svt_default; Mode.Hw_svt; Mode.Ooh ] in
   let spec =
-    Spec.cartesian ~modes ~workloads:(List.map fst drivers) ()
+    Spec.cartesian ~modes ~workloads:(List.map (fun (_, key, _, _) -> key) rows) ()
   in
   let run (p : Spec.point) =
-    let f = List.assoc p.Spec.workload drivers in
-    [ ("value", f (nested p.Spec.mode)) ]
+    let _, _, name, params =
+      List.find (fun (_, key, _, _) -> key = p.Spec.workload) rows
+    in
+    Runner.drive (Runner.find name) ~params (nested p.Spec.mode)
   in
   let lookup = campaign_lookup ~run ~label:"fig7" spec in
-  let value mode workload =
-    lookup (Spec.point ~workload mode) "value"
-  in
-  let bench name unit_ higher workload (paper : Paper.fig7_row) =
-    let base = value Mode.Baseline workload in
-    let sw = value Mode.sw_svt_default workload in
-    let hw = value Mode.Hw_svt workload in
-    let ooh = value Mode.Ooh workload in
-    let speedup x = if higher then x /. base else base /. x in
-    Printf.printf
-      "%-22s base %10.1f %-5s | SW %5.2fx (paper %.2fx) | HW %5.2fx (paper \
-       %.2fx) | OoH %5.2fx\n\
-       %!"
-      name base unit_ (speedup sw) paper.Paper.sw_speedup (speedup hw)
-      paper.Paper.hw_speedup (speedup ooh)
-  in
-  let p n = List.find (fun r -> r.Paper.name = n) Paper.fig7 in
-  bench "network latency" "usec" false "rr" (p "net-latency");
-  bench "network bandwidth" "Mbps" true "stream" (p "net-bandwidth");
-  bench "disk randrd latency" "usec" false "ioping-rd" (p "disk-randrd-latency");
-  bench "disk randrd bandwidth" "KB/s" true "fio-rd" (p "disk-randrd-bandwidth");
-  bench "disk randwr latency" "usec" false "ioping-wr" (p "disk-randwr-latency");
-  bench "disk randwr bandwidth" "KB/s" true "fio-wr" (p "disk-randwr-bandwidth");
+  List.iter
+    (fun (label, key, name, _) ->
+      let _, h = registry name in
+      let value mode = lookup (Spec.point ~workload:key mode) h.Runner.metric in
+      let base = value Mode.Baseline in
+      let speedup mode = Runner.speedup h ~base (value mode) in
+      let paper = List.find (fun r -> r.Paper.name = key) Paper.fig7 in
+      Printf.printf
+        "%-22s base %10.1f %-5s | SW %5.2fx (paper %.2fx) | HW %5.2fx (paper \
+         %.2fx) | OoH %5.2fx\n\
+         %!"
+        label base paper.Paper.unit_ (speedup Mode.sw_svt_default)
+        paper.Paper.sw_speedup (speedup Mode.Hw_svt) paper.Paper.hw_speedup
+        (speedup Mode.Ooh))
+    rows;
   Printf.printf
     "\nnote: paper baselines: 163us / 9387Mbps / 126us / 87136KB/s / 179us / 55769KB/s.\n\
      The HW bandwidth row cannot exceed 1.0x here when the wire is the\n\
@@ -367,15 +344,18 @@ let fig8 () =
 
 let fig9 () =
   header "Figure 9: TPC-C throughput";
-  let duration = Time.of_ms (if quick then 150 else 400) in
-  let run mode = Tpcc.run ~duration (nested mode) in
+  let tpcc, h = registry "tpcc" in
+  let params = [ ("duration-ms", Runner.Param.Int (if quick then 150 else 400)) ] in
+  let run mode = Runner.drive tpcc ~params (nested mode) in
   let base = run Mode.Baseline in
   let svt = run Mode.sw_svt_default in
-  Printf.printf "baseline: %7.0f tpm (%d txns, %d new-order)\n" base.Tpcc.tpm
-    base.Tpcc.transactions base.Tpcc.new_orders;
-  Printf.printf "SVt:      %7.0f tpm (%d txns)\n" svt.Tpcc.tpm svt.Tpcc.transactions;
+  let count r k = int_of_float (List.assoc k r) in
+  let tpm r = List.assoc h.Runner.metric r in
+  Printf.printf "baseline: %7.0f tpm (%d txns, %d new-order)\n" (tpm base)
+    (count base "transactions") (count base "new_orders");
+  Printf.printf "SVt:      %7.0f tpm (%d txns)\n" (tpm svt) (count svt "transactions");
   Printf.printf "speedup:  %.2fx (paper %.2fx; paper SVt absolute %.0f Ktpm)\n"
-    (svt.Tpcc.tpm /. base.Tpcc.tpm)
+    (Runner.speedup h ~base:(tpm base) (tpm svt))
     Paper.fig9_speedup
     (Paper.fig9_svt_tpm /. 1000.0)
 
@@ -393,14 +373,17 @@ let fig10 () =
       ~workloads:(List.map (fun p -> workload_of_fps p.Paper.fps) Paper.fig10)
       ()
   in
+  let video, h = registry "video" in
   let run (p : Spec.point) =
     let fps = Scanf.sscanf p.Spec.workload "video-%d" Fun.id in
-    let r = Video.run ~seconds ~fps (nested p.Spec.mode) in
-    [ ("dropped", float_of_int r.Video.dropped) ]
+    Runner.drive video
+      ~params:[ ("fps", Runner.Param.Int fps); ("seconds", Runner.Param.Int seconds) ]
+      (nested p.Spec.mode)
   in
   let lookup = campaign_lookup ~run ~label:"fig10" spec in
   let drops mode fps =
-    int_of_float (lookup (Spec.point ~workload:(workload_of_fps fps) mode) "dropped")
+    int_of_float
+      (lookup (Spec.point ~workload:(workload_of_fps fps) mode) h.Runner.metric)
   in
   let t =
     Table.create
@@ -533,44 +516,6 @@ let ablation () =
       Printf.printf "   %-22s %6.2f us\n%!" label r.Microbench.per_op_us)
     [ ("3 contexts (proposal)", false); ("2 contexts (multiplexed)", true) ]
 
-(* -------------------------------------------------------------------- obs *)
-
-(* Host-side overhead of the tracing layer: the same nested cpuid run
-   with the probe disarmed, the default null-sink state, the timeline
-   sink, and both sinks. Simulated results are bit-identical in all
-   four (the overhead test suite asserts it); only host wall-clock may
-   move, and the first two rows should be indistinguishable. *)
-let obs_overhead () =
-  header "obs: tracing-layer overhead on the nested cpuid microbench";
-  let median_time prepare =
-    let reps = if quick then 3 else 9 in
-    let samples =
-      List.init reps (fun _ ->
-          let sys = nested Mode.Baseline in
-          prepare sys;
-          let t0 = Unix.gettimeofday () in
-          ignore (Microbench.measure_cpuid sys);
-          Unix.gettimeofday () -. t0)
-    in
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  List.iter
-    (fun (label, prepare) ->
-      Printf.printf "   %-26s %8.3f ms\n%!" label (1e3 *. median_time prepare))
-    [
-      ( "probe disarmed",
-        fun sys -> Svt_obs.Recorder.set_enabled (System.obs sys) false );
-      ("null sink (default)", fun _ -> ());
-      ( "timeline sink",
-        fun sys -> ignore (Svt_obs.Recorder.enable_timeline (System.obs sys)) );
-      ( "timeline + chrome sinks",
-        fun sys ->
-          ignore (Svt_obs.Recorder.enable_timeline (System.obs sys));
-          ignore (Svt_obs.Recorder.enable_chrome (System.obs sys)) );
-    ]
-
 (* ----------------------------------------------------------------- faults *)
 
 (* Graceful degradation under injected faults: latency of the SW SVt rr
@@ -587,7 +532,7 @@ let faults () =
       let p =
         Spec.point ~workload:"rr" ~seed:1 ~fault:plan Mode.sw_svt_default
       in
-      let m = Svt_campaign.Runner.exec p in
+      let m = Runner.exec p in
       let metric k =
         match List.assoc_opt k m with Some v -> v | None -> 0.0
       in
@@ -613,6 +558,14 @@ let faults () =
     ]
 
 (* ------------------------------------------------------------------ sched *)
+
+(* A host configuration's row label: the policy only means something for
+   SW SVt stacks. *)
+let config_label mode policy =
+  match mode with
+  | Mode.Sw_svt _ ->
+      Printf.sprintf "%s/%s" (Mode.to_string mode) (Svt_sched.Policy.name policy)
+  | _ -> Mode.to_string mode
 
 (* Whole-host consolidation: eight single-vCPU tenants (each a complete
    nested stack) packed onto a 4-core x 2-SMT host under each SVt-thread
@@ -646,13 +599,7 @@ let sched () =
       Host.run host ~horizon;
       let r = Host.report host in
       let sum f = List.fold_left (fun a tr -> a +. f tr) 0.0 r.Host.tenant_reports in
-      let label =
-        match mode with
-        | Svt_core.Mode.Sw_svt _ ->
-            Printf.sprintf "%s/%s" (Mode.to_string mode) (Policy.name policy)
-        | _ -> Mode.to_string mode
-      in
-      Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!" label
+      Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!" (config_label mode policy)
         r.Host.aggregate_kops
         (sum (fun tr -> tr.Host.per_exit_us) /. float_of_int (max 1 (List.length r.Host.tenant_reports)))
         (100.0 *. r.Host.occupancy)
@@ -698,13 +645,7 @@ let cluster () =
       Cluster.run fleet ~horizon;
       let r = Cluster.report fleet in
       if not r.Cluster.r_conserved then failwith "cluster: tenant lost";
-      let label =
-        match mode with
-        | Svt_core.Mode.Sw_svt _ ->
-            Printf.sprintf "%s/%s" (Mode.to_string mode) (Policy.name policy)
-        | _ -> Mode.to_string mode
-      in
-      Printf.printf "   %-28s %9.1f %7d %7d %7d %7d %12.2f\n%!" label
+      Printf.printf "   %-28s %9.1f %7d %7d %7d %7d %12.2f\n%!" (config_label mode policy)
         r.Cluster.r_aggregate_kops r.Cluster.r_placed r.Cluster.r_evictions
         r.Cluster.r_readmissions r.Cluster.r_quarantines
         r.Cluster.r_survivor_p99_per_exit_us)
@@ -714,74 +655,6 @@ let cluster () =
       (Mode.Hw_svt, Policy.default);
       (Mode.Ooh, Policy.default);
     ]
-
-(* ----------------------------------------------------------------- engine *)
-
-(* Engine/fuzz-harness throughput baseline (ROADMAP item 1): a fixed-seed
-   fuzz batch, in memory, timed on the host clock. Emits
-   BENCH_engine.json with events/sec and execs/sec so the perf
-   trajectory stays visible across PRs. The batch itself is fully
-   deterministic; only the wall-clock denominators vary per host. *)
-let engine () =
-  header "Engine: simulator + fuzz-harness throughput (BENCH_engine.json)";
-  let module Fuzz = Svt_fuzz.Fuzz in
-  let seed = 7L and batch = if quick then 32 else 128 in
-  (* warm-up: fault the code paths in before timing *)
-  ignore (Fuzz.campaign ~seed ~batch:8 () : Fuzz.stats);
-  let t0 = Unix.gettimeofday () in
-  let stats = Fuzz.campaign ~jobs ~seed ~batch () in
-  let wall = Unix.gettimeofday () -. t0 in
-  let events_per_sec = float_of_int stats.Fuzz.events /. wall in
-  let execs_per_sec = float_of_int stats.Fuzz.execs /. wall in
-  Printf.printf
-    "  batch=%d execs (x%d modes) seed=%Ld: %d kept, %d coverage bits\n"
-    stats.Fuzz.execs (List.length Fuzz.modes) seed stats.Fuzz.kept
-    stats.Fuzz.cov_bits;
-  Printf.printf "  %.0f events/sec, %.1f execs/sec (wall %.3f s, jobs=%d)\n%!"
-    events_per_sec execs_per_sec wall jobs;
-  (* The delegation mode exercises the shortest trap path in the engine
-     (no SVt thread, no ring), so its event rate is the simulator's
-     per-mode ceiling — tracked as its own row. *)
-  let ooh_sys = nested Mode.Ooh in
-  let t1 = Unix.gettimeofday () in
-  ignore (Microbench.measure_cpuid ooh_sys : Microbench.result);
-  let ooh_wall = Unix.gettimeofday () -. t1 in
-  let ooh_events = Svt_engine.Simulator.events_processed (System.sim ooh_sys) in
-  let ooh_events_per_sec = float_of_int ooh_events /. ooh_wall in
-  Printf.printf "  ooh nested cpuid: %d events, %.0f events/sec\n%!" ooh_events
-    ooh_events_per_sec;
-  (* The ARM backend runs the same engine through the memory-backed
-     sysreg nested-state path (more auxiliary accesses per episode, no
-     shadow-VMCS shortcut), so its event rate is tracked as its own row
-     to keep cross-backend perf visible across PRs. *)
-  let arm_sys = nested ~arch:Svt_arch.Backend.Arm Mode.Baseline in
-  let t2 = Unix.gettimeofday () in
-  ignore (Microbench.measure_cpuid arm_sys : Microbench.result);
-  let arm_wall = Unix.gettimeofday () -. t2 in
-  let arm_events = Svt_engine.Simulator.events_processed (System.sim arm_sys) in
-  let arm_events_per_sec = float_of_int arm_events /. arm_wall in
-  Printf.printf "  arm nested cpuid: %d events, %.0f events/sec\n%!" arm_events
-    arm_events_per_sec;
-  let path =
-    Bench_out.write ~section:"engine"
-      [
-        ("seed", Bench_out.Int (Int64.to_int seed));
-        ("batch", Bench_out.Int batch);
-        ("jobs", Bench_out.Int jobs);
-        ("events", Bench_out.Int stats.Fuzz.events);
-        ("execs", Bench_out.Int stats.Fuzz.execs);
-        ("kept", Bench_out.Int stats.Fuzz.kept);
-        ("cov_bits", Bench_out.Int stats.Fuzz.cov_bits);
-        ("wall_s", Bench_out.Float wall);
-        ("events_per_sec", Bench_out.Float events_per_sec);
-        ("execs_per_sec", Bench_out.Float execs_per_sec);
-        ("ooh_events", Bench_out.Int ooh_events);
-        ("ooh_events_per_sec", Bench_out.Float ooh_events_per_sec);
-        ("arm_events", Bench_out.Int arm_events);
-        ("arm_events_per_sec", Bench_out.Float arm_events_per_sec);
-      ]
-  in
-  Printf.printf "  wrote %s\n%!" path
 
 (* ---------------------------------------------------------------- profile *)
 
@@ -794,7 +667,6 @@ let engine () =
    numbers only track the host-side cost trajectory across PRs. *)
 let profile () =
   header "profile: self-profiler throughput + overhead (BENCH_obs.json)";
-  let module Runner = Svt_campaign.Runner in
   let module Profiler = Svt_obs.Profiler in
   let module Simulator = Svt_engine.Simulator in
   let reps = if quick then 3 else 7 in
@@ -957,82 +829,43 @@ let perf_check () =
   end;
   Printf.printf "  all metrics within the envelope\n%!"
 
-(* --------------------------------------------------------------- bechamel *)
+(* ------------------------------------------------------------- dispatch *)
 
-(* Wall-clock cost of the simulator itself: one Bechamel test per
-   table/figure driver (how long the host takes to simulate each unit). *)
-let bechamel () =
-  header "Bechamel: host-side cost of each experiment driver";
-  let open Bechamel in
-  let tests =
-    [
-      Test.make ~name:"table1+fig6: nested cpuid episode"
-        (Staged.stage (fun () ->
-             let sys = nested Mode.Baseline in
-             let vcpu = System.vcpu0 sys in
-             Vcpu.spawn_program vcpu (fun v -> ignore (Guest.cpuid v ~leaf:1));
-             System.run sys));
-      Test.make ~name:"fig7: one TCP_RR transaction"
-        (Staged.stage (fun () ->
-             ignore (Netperf.run_rr ~transactions:1 (nested Mode.Baseline))));
-      Test.make ~name:"fig7: one ioping read"
-        (Staged.stage (fun () ->
-             ignore (Disk.run_ioping ~ops:1 ~op:Disk.Randread (nested Mode.Baseline))));
-      Test.make ~name:"fig8: 2ms of ETC at 10k qps"
-        (Staged.stage (fun () ->
-             ignore
-               (Etc.run_point ~duration:(Svt_engine.Time.of_ms 2) ~qps:10_000.0
-                  (nested ~n_vcpus:2 Mode.Baseline))));
-      Test.make ~name:"fig9: 10ms of TPC-C"
-        (Staged.stage (fun () ->
-             ignore (Tpcc.run ~duration:(Svt_engine.Time.of_ms 10) (nested Mode.Baseline))));
-      Test.make ~name:"fig10: 1s of 120fps playback"
-        (Staged.stage (fun () ->
-             ignore (Video.run ~seconds:1 ~fps:120 (nested Mode.Baseline))));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) ())
-          [ Toolkit.Instance.monotonic_clock ]
-          test
-      in
-      let stats =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "  %-42s %10.3f ms/run\n%!" name (est /. 1e6)
-          | _ -> Printf.printf "  %-42s (no estimate)\n%!" name)
-        stats)
-    tests
+(* Every section, in the order a run with no section named runs them. *)
+let sections =
+  [
+    ("table1", table1); ("table2", table2); ("table3", table3);
+    ("table4", table4); ("fig6", fig6); ("fig7", fig7); ("fig8", fig8);
+    ("fig9", fig9); ("fig10", fig10); ("channels", channels);
+    ("ablation", ablation); ("faults", faults); ("sched", sched);
+    ("cluster", cluster); ("profile", profile); ("perf-check", perf_check);
+  ]
 
 let () =
+  let usage msg =
+    Printf.eprintf
+      "bench: %s\nusage: main.exe [SECTION...] [quick] [jobs=N]\nsections: %s\n"
+      msg
+      (String.concat " " (List.map fst sections));
+    exit 2
+  in
+  let wanted =
+    List.filter
+      (fun a ->
+        if a = "quick" then false
+        else if String.starts_with ~prefix:"jobs=" a then begin
+          (match int_of_string_opt (String.sub a 5 (String.length a - 5)) with
+          | Some n when n >= 1 -> jobs := n
+          | _ -> usage (Printf.sprintf "bad %S: expected jobs=N with N >= 1" a));
+          false
+        end
+        else if List.mem_assoc a sections then true
+        else usage (Printf.sprintf "unknown section %S" a))
+      args
+  in
   Printf.printf "SVt reproduction bench harness%s\n"
     (if quick then " (quick mode)" else "");
-  if wanted "table1" then table1 ();
-  if wanted "table2" then table2 ();
-  if wanted "table3" then table3 ();
-  if wanted "table4" then table4 ();
-  if wanted "fig6" then fig6 ();
-  if wanted "fig7" then fig7 ();
-  if wanted "fig8" then fig8 ();
-  if wanted "fig9" then fig9 ();
-  if wanted "fig10" then fig10 ();
-  if wanted "channels" then channels ();
-  if wanted "ablation" then ablation ();
-  if wanted "obs" then obs_overhead ();
-  if wanted "faults" then faults ();
-  if wanted "sched" then sched ();
-  if wanted "cluster" then cluster ();
-  if wanted "engine" then engine ();
-  if wanted "profile" then profile ();
-  if wanted "perf-check" then perf_check ();
-  if wanted "bechamel" then bechamel ();
+  List.iter
+    (fun (name, run) -> if wanted = [] || List.mem name wanted then run ())
+    sections;
   print_endline "\ndone."

@@ -1,16 +1,22 @@
 (* svt_sim: command-line front end to the SVt simulator.
 
-   Every experiment of the paper's evaluation is available as a
-   subcommand with its parameters exposed, e.g.:
+   Each stack workload of the campaign registry (Runner.workloads) that
+   reproduces a paper figure is a subcommand, generated from its
+   registry entry: --mode, --level and the entry's own parameters, with
+   the campaign's defaults. It prints the workload's metrics and vCPU
+   0's per-exit Table-1 breakdown, e.g.:
 
        svt_sim cpuid  --mode hw-svt --level l2
        svt_sim rr     --mode baseline --transactions 500
        svt_sim etc    --qps 15000 --mode sw-svt --duration-ms 100
        svt_sim video  --fps 120 --seconds 300
-       svt_sim blocked-demo
 
-   (The bench harness `bench/main.exe` drives the same code to regenerate
-   the paper's tables and figures wholesale.) *)
+   Beside them: run, sweep and sweep-diff (campaign points and ledgers),
+   trace and profile (one stack with sinks installed), faults, sched,
+   cluster, fuzz, fig6 and blocked-demo.
+
+   (The bench harness `bench/main.exe` drives the same registry to
+   regenerate the paper's tables and figures wholesale.) *)
 
 open Cmdliner
 module Time = Svt_engine.Time
@@ -19,28 +25,24 @@ module System = Svt_core.System
 module Guest = Svt_core.Guest
 module Vcpu = Svt_hyp.Vcpu
 module Breakdown = Svt_hyp.Breakdown
+module Spec = Svt_campaign.Spec
+module Runner = Svt_campaign.Runner
+module Ledger = Svt_campaign.Ledger
 
 (* ---- common arguments ---- *)
+
+(* A cmdliner converter from a [string -> (_, string) result] parser. *)
+let conv_of parse pp =
+  Arg.conv ((fun s -> Result.map_error (fun e -> `Msg e) (parse s)), pp)
 
 (* The CLI shares Mode's name table (which in turn defers to Wait.Kind for
    the wait-mechanism selector) with the campaign axis grammar, so
    "sw-svt-mwait" or "sw-svt-polling@cross-numa" mean the same thing
    everywhere. *)
-let mode_conv =
-  let parse s =
-    match Mode.of_string s with
-    | Ok m -> Ok m
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Mode.to_string m))
+let mode_conv = conv_of Mode.of_string (Fmt.of_to_string Mode.to_string)
 
 let level_conv =
-  let parse s =
-    match Svt_campaign.Spec.level_of_string s with
-    | Ok l -> Ok l
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf l -> Fmt.string ppf (Svt_campaign.Spec.level_to_string l))
+  conv_of Spec.level_of_string (Fmt.of_to_string Spec.level_to_string)
 
 let mode_arg =
   Arg.(value & opt mode_conv Mode.Baseline
@@ -55,12 +57,7 @@ let level_arg =
            ~doc:"Where the guest under test runs: l0 (native), l1, l2 (nested).")
 
 let arch_conv =
-  let parse s =
-    match Svt_arch.Backend.of_string s with
-    | Ok k -> Ok k
-    | Error e -> Error (`Msg e)
-  in
-  Arg.conv (parse, fun ppf k -> Fmt.string ppf (Svt_arch.Backend.to_string k))
+  conv_of Svt_arch.Backend.of_string (Fmt.of_to_string Svt_arch.Backend.to_string)
 
 let arch_arg =
   Arg.(value & opt arch_conv Svt_arch.Backend.X86
@@ -69,11 +66,11 @@ let arch_arg =
                  or arm (NV/VHE, memory-backed system-register image; no \
                  shadow VMCS and no hw-svt mode).")
 
-let duration_ms =
-  Arg.(value & opt int 100
-       & info [ "duration-ms" ] ~docv:"MS" ~doc:"Run duration in simulated ms.")
+let vcpus_arg =
+  Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
 
-let make_sys mode level = System.of_config (System.Config.make ~mode ~level ())
+let seed_arg =
+  Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Replication index.")
 
 (* The campaign workload registry as a closed enum, so a misspelt name is
    a usage error (exit 124) listing the valid ones. The trace and
@@ -85,172 +82,76 @@ let workload_arg names =
        & info [ "w"; "workload" ] ~docv:"NAME"
            ~doc:("Workload to drive: " ^ doc_alts_enum alts ^ "."))
 
+(* Print "cmd: message" on stderr and exit with [code]. *)
+let die ?(code = 1) cmd fmt =
+  Printf.ksprintf (fun msg -> prerr_endline (cmd ^ ": " ^ msg); exit code) fmt
+
 (* A run that spends its event fuel ends with a one-line error and exit
    1, the status a sweep gives a timeout row. *)
 let or_budget_error cmd f =
   try f ()
   with Svt_engine.Simulator.Budget_exhausted _ as e ->
-    Printf.eprintf "%s: %s\n" cmd (Printexc.to_string e);
-    exit 1
+    die cmd "%s" (Printexc.to_string e)
 
-(* ---- cpuid ---- *)
+(* ---- the per-figure commands, generated from the registry ---- *)
 
-let cpuid_cmd =
-  let run mode level workload =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Microbench.measure_cpuid ~workload sys in
-    Printf.printf "cpuid at %s under %s: %.2f us/op (%d samples)\n"
-      (System.level_name level) (Mode.name mode) r.Svt_workloads.Microbench.per_op_us
-      r.Svt_workloads.Microbench.stats.Svt_stats.Convergence.samples_used;
+(* A registry parameter as the flag of the same name and default. *)
+let param_term (p : Runner.Param.t) =
+  match p.Runner.Param.default with
+  | Runner.Param.Int n ->
+      Term.(
+        const (fun v -> Runner.Param.Int v)
+        $ Arg.(value & opt int n & info [ p.name ] ~docv:"N" ~doc:p.doc))
+  | Runner.Param.Choice _ as default ->
+      let alts = List.map (fun c -> (c, Runner.Param.Choice c)) p.choices in
+      Arg.(value & opt (enum alts) default
+           & info [ p.name ] ~docv:(String.concat "|" p.choices) ~doc:p.doc)
+
+let params_term params =
+  List.fold_right
+    (fun (p : Runner.Param.t) rest ->
+      Term.(const (fun v vs -> (p.Runner.Param.name, v) :: vs) $ param_term p $ rest))
+    params (Term.const [])
+
+let param_to_string (k, v) =
+  match v with
+  | Runner.Param.Int n -> Printf.sprintf "%s=%d" k n
+  | Runner.Param.Choice c -> Printf.sprintf "%s=%s" k c
+
+let figure_cmd (w : Runner.workload) =
+  let run mode level params =
+    let sys = Runner.make_system (Spec.point ~level ~workload:w.name mode) in
+    let metrics = Runner.drive w ~params sys in
+    Printf.printf "%s at %s under %s (%s):\n" w.name (System.level_name level)
+      (Mode.name mode)
+      (String.concat ", " (List.map param_to_string params));
+    List.iter (fun (k, v) -> Printf.printf "  %-24s %g\n" k v) metrics;
+    let bd = Vcpu.breakdown (System.vcpu0 sys) in
+    let exits = Breakdown.exits bd in
+    Printf.printf "per-exit breakdown, vCPU 0 (%d exits):\n" exits;
     List.iter
       (fun (name, t, pct) ->
-        Printf.printf "  %-28s %10s  %5.1f%%\n" name (Time.to_string t) pct)
-      r.Svt_workloads.Microbench.breakdown
+        let per_exit = Time.of_ns (Time.to_ns t / max 1 exits) in
+        Printf.printf "  %-28s %10s  %5.1f%%\n" name (Time.to_string per_exit) pct)
+      (Breakdown.rows bd)
   in
-  let workload =
-    Arg.(value & opt int 0
-         & info [ "workload" ] ~docv:"N" ~doc:"Dependent increments per iteration.")
-  in
-  Cmd.v
-    (Cmd.info "cpuid" ~doc:"The cpuid micro-benchmark (Table 1 / Figure 6).")
-    Term.(const run $ mode_arg $ level_arg $ workload)
+  Cmd.v (Cmd.info w.name ~doc:w.doc)
+    Term.(const run $ mode_arg $ level_arg $ params_term w.params)
 
-(* ---- network ---- *)
-
-let rr_cmd =
-  let run mode level transactions =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Netperf.run_rr ~transactions sys in
-    Printf.printf "TCP_RR (%s, %s): mean %.1f us, p99 %.1f us over %d transactions\n"
-      (System.level_name level) (Mode.name mode) r.Svt_workloads.Netperf.mean_rtt_us
-      r.Svt_workloads.Netperf.p99_rtt_us r.Svt_workloads.Netperf.transactions
-  in
-  let transactions =
-    Arg.(value & opt int 300 & info [ "transactions" ] ~docv:"N" ~doc:"Round trips.")
-  in
-  Cmd.v
-    (Cmd.info "rr" ~doc:"netperf TCP_RR latency (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ transactions)
-
-let stream_cmd =
-  let run mode level ms =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Netperf.run_stream ~duration:(Time.of_ms ms) sys in
-    Printf.printf "TCP_STREAM (%s, %s): %.0f Mbps (%d packets)\n"
-      (System.level_name level) (Mode.name mode) r.Svt_workloads.Netperf.mbps
-      r.Svt_workloads.Netperf.packets
-  in
-  Cmd.v
-    (Cmd.info "stream" ~doc:"netperf TCP_STREAM throughput (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ duration_ms)
-
-(* ---- disk ---- *)
-
-let op_conv =
-  let parse = function
-    | "randread" | "read" -> Ok Svt_workloads.Disk.Randread
-    | "randwrite" | "write" -> Ok Svt_workloads.Disk.Randwrite
-    | s -> Error (`Msg (Printf.sprintf "unknown op %S" s))
-  in
-  Arg.conv (parse, fun ppf o -> Fmt.string ppf (Svt_workloads.Disk.op_name o))
-
-let op_arg =
-  Arg.(value & opt op_conv Svt_workloads.Disk.Randread
-       & info [ "op" ] ~docv:"OP" ~doc:"randread or randwrite.")
-
-let ops_arg = Arg.(value & opt int 250 & info [ "ops" ] ~docv:"N" ~doc:"Operations.")
-
-let ioping_cmd =
-  let run mode level op ops =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Disk.run_ioping ~ops ~op sys in
-    Printf.printf "ioping %s (%s, %s): mean %.1f us, p99 %.1f us\n"
-      (Svt_workloads.Disk.op_name op) (System.level_name level) (Mode.name mode)
-      r.Svt_workloads.Disk.mean_us r.Svt_workloads.Disk.p99_us
-  in
-  Cmd.v
-    (Cmd.info "ioping" ~doc:"512 B disk latency at QD1 (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ op_arg $ ops_arg)
-
-let fio_cmd =
-  let run mode level op ops depth =
-    let sys = make_sys mode level in
-    let r = Svt_workloads.Disk.run_fio ~ops ~depth ~op sys in
-    Printf.printf "fio %s QD%d (%s, %s): %.0f KB/s\n"
-      (Svt_workloads.Disk.op_name op) depth (System.level_name level)
-      (Mode.name mode) r.Svt_workloads.Disk.kb_per_sec
-  in
-  let depth = Arg.(value & opt int 8 & info [ "depth" ] ~docv:"N" ~doc:"Queue depth.") in
-  Cmd.v
-    (Cmd.info "fio" ~doc:"4 KB disk bandwidth (Figure 7).")
-    Term.(const run $ mode_arg $ level_arg $ op_arg $ ops_arg $ depth)
-
-(* ---- applications ---- *)
-
-let etc_cmd =
-  let run mode qps ms =
-    let sys =
-      System.of_config
-        (System.Config.make ~mode ~level:System.L2_nested ~n_vcpus:2 ())
-    in
-    let r =
-      Svt_workloads.Etc_workload.run_point ~duration:(Time.of_ms ms)
-        ~qps:(float_of_int qps) sys
-    in
-    Printf.printf
-      "ETC at %d qps (%s): achieved %.0f qps, avg %.1f us, p99 %.1f us (%d requests)\n"
-      qps (Mode.name mode) r.Svt_workloads.Etc_workload.achieved_qps
-      r.Svt_workloads.Etc_workload.avg_us r.Svt_workloads.Etc_workload.p99_us
-      r.Svt_workloads.Etc_workload.requests
-  in
-  let qps = Arg.(value & opt int 15000 & info [ "qps" ] ~docv:"QPS" ~doc:"Offered load.") in
-  Cmd.v
-    (Cmd.info "etc" ~doc:"memcached with Facebook's ETC workload (Figure 8).")
-    Term.(const run $ mode_arg $ qps $ duration_ms)
-
-let tpcc_cmd =
-  let run mode ms =
-    let sys = make_sys mode System.L2_nested in
-    let r = Svt_workloads.Tpcc.run ~duration:(Time.of_ms ms) sys in
-    Printf.printf "TPC-C (%s): %.0f tpm (%d transactions, %d new-order)\n"
-      (Mode.name mode) r.Svt_workloads.Tpcc.tpm r.Svt_workloads.Tpcc.transactions
-      r.Svt_workloads.Tpcc.new_orders
-  in
-  Cmd.v
-    (Cmd.info "tpcc" ~doc:"TPC-C over the mini storage engine (Figure 9).")
-    Term.(const run $ mode_arg $ duration_ms)
-
-let video_cmd =
-  let run mode fps seconds =
-    let sys = make_sys mode System.L2_nested in
-    let r = Svt_workloads.Video.run ~seconds ~fps sys in
-    Printf.printf
-      "video %d fps for %ds (%s): %d dropped of %d frames (idle %.0f%%)\n" fps
-      seconds (Mode.name mode) r.Svt_workloads.Video.dropped
-      r.Svt_workloads.Video.frames
-      (100.0 *. r.Svt_workloads.Video.idle_fraction)
-  in
-  let fps = Arg.(value & opt int 120 & info [ "fps" ] ~docv:"FPS" ~doc:"Frame rate.") in
-  let seconds =
-    Arg.(value & opt int 300 & info [ "seconds" ] ~docv:"S" ~doc:"Playback length.")
-  in
-  Cmd.v
-    (Cmd.info "video" ~doc:"Soft-realtime video playback (Figure 10).")
-    Term.(const run $ mode_arg $ fps $ seconds)
+(* spin has no headline: it never finishes, so it gets no command. *)
+let figure_cmds =
+  List.filter_map
+    (fun (w : Runner.workload) ->
+      match (w.shape, w.headline) with
+      | Runner.Stack _, Some _ -> Some (figure_cmd w)
+      | _ -> None)
+    Runner.workloads
 
 (* ---- trace export ---- *)
 
 let trace_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let module Runner = Svt_campaign.Runner in
   let module Recorder = Svt_obs.Recorder in
   let module Timeline = Svt_obs.Timeline in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Replication index.")
-  in
   let out_arg =
     Arg.(value & opt string "trace.json"
          & info [ "o"; "out" ] ~docv:"PATH"
@@ -273,47 +174,35 @@ let trace_cmd =
   in
   let validate_file level path =
     let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
+    let s = really_input_string ic (in_channel_length ic) in
     close_in ic;
-    match Svt_campaign.Ledger.parse_json s with
-    | exception Svt_campaign.Ledger.Parse_error e ->
-        Printf.eprintf "trace: %s is not valid JSON: %s\n" path e;
-        exit 1
-    | Svt_campaign.Ledger.Obj fields -> (
-        match List.assoc_opt "traceEvents" fields with
-        | Some (Svt_campaign.Ledger.Arr events) ->
-            let names = Hashtbl.create 16 in
-            List.iter
-              (function
-                | Svt_campaign.Ledger.Obj ev -> (
-                    match
-                      (List.assoc_opt "ph" ev, List.assoc_opt "name" ev)
-                    with
-                    | Some (Svt_campaign.Ledger.Str "X"),
-                      Some (Svt_campaign.Ledger.Str name) ->
-                        Hashtbl.replace names name ()
-                    | _ -> ())
-                | _ -> ())
-              events;
-            let missing =
-              List.filter
-                (fun k -> not (Hashtbl.mem names k))
-                (required_kinds level)
-            in
-            if missing <> [] then begin
-              Printf.eprintf "trace: %s lacks span kinds: %s\n" path
-                (String.concat ", " missing);
-              exit 1
-            end;
-            Printf.printf "validated: %d events, all required kinds present\n"
-              (List.length events)
-        | _ ->
-            Printf.eprintf "trace: %s has no traceEvents array\n" path;
-            exit 1)
-    | _ ->
-        Printf.eprintf "trace: %s is not a JSON object\n" path;
-        exit 1
+    let events =
+      match Ledger.parse_json s with
+      | exception Ledger.Parse_error e ->
+          die "trace" "%s is not valid JSON: %s" path e
+      | Ledger.Obj fields -> (
+          match List.assoc_opt "traceEvents" fields with
+          | Some (Ledger.Arr events) -> events
+          | _ -> die "trace" "%s has no traceEvents array" path)
+      | _ -> die "trace" "%s is not a JSON object" path
+    in
+    let names =
+      List.filter_map
+        (function
+          | Ledger.Obj ev -> (
+              match (List.assoc_opt "ph" ev, List.assoc_opt "name" ev) with
+              | Some (Ledger.Str "X"), Some (Ledger.Str name) -> Some name
+              | _ -> None)
+          | _ -> None)
+        events
+    in
+    let missing =
+      List.filter (fun k -> not (List.mem k names)) (required_kinds level)
+    in
+    if missing <> [] then
+      die "trace" "%s lacks span kinds: %s" path (String.concat ", " missing);
+    Printf.printf "validated: %d events, all required kinds present\n"
+      (List.length events)
   in
   let run mode level workload vcpus seed out validate =
     let p = Spec.point ~level ~workload ~vcpus ~seed mode in
@@ -353,17 +242,9 @@ let trace_cmd =
 (* ---- self-profiling ---- *)
 
 let profile_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let module Runner = Svt_campaign.Runner in
   let module Profiler = Svt_obs.Profiler in
   let module Probe = Svt_obs.Probe in
   let module Simulator = Svt_engine.Simulator in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Replication index.")
-  in
   let format_arg =
     Arg.(value & opt (enum [ ("folded", `Folded); ("table", `Table);
                              ("json", `Json) ])
@@ -396,52 +277,30 @@ let profile_cmd =
   (* The folded format is consumed by external tools, so --validate
      re-parses what we emit: every line must be "frame[;frame]* <int>". *)
   let validate_folded prof =
-    let folded = Profiler.folded prof in
-    if String.trim folded = "" then begin
-      prerr_endline "profile: folded output is empty";
-      exit 1
-    end;
+    let lines = String.split_on_char '\n' (Profiler.folded prof) in
+    let paths = List.filter (fun l -> String.trim l <> "") lines in
+    if paths = [] then die "profile" "folded output is empty";
     List.iteri
       (fun i line ->
         if String.trim line <> "" then
           match String.rindex_opt line ' ' with
-          | None ->
-              Printf.eprintf "profile: folded line %d has no value: %S\n"
-                (i + 1) line;
-              exit 1
-          | Some sp -> (
-              let path = String.sub line 0 sp in
-              let value =
-                String.sub line (sp + 1) (String.length line - sp - 1)
-              in
-              match int_of_string_opt value with
-              | None | Some _ when path = "" ->
-                  Printf.eprintf "profile: folded line %d is malformed: %S\n"
-                    (i + 1) line;
-                  exit 1
-              | None ->
-                  Printf.eprintf "profile: folded line %d value %S is not \
-                                  an integer\n"
-                    (i + 1) value;
-                  exit 1
-              | Some _ -> ()))
-      (String.split_on_char '\n' folded);
+          | None -> die "profile" "folded line %d has no value: %S" (i + 1) line
+          | Some 0 -> die "profile" "folded line %d is malformed: %S" (i + 1) line
+          | Some sp ->
+              let value = String.sub line (sp + 1) (String.length line - sp - 1) in
+              if int_of_string_opt value = None then
+                die "profile" "folded line %d value %S is not an integer" (i + 1)
+                  value)
+      lines;
     let wall = Profiler.wall_s prof in
     let excl = Profiler.exclusive_total_s prof in
     let drift = if wall > 0.0 then abs_float (excl -. wall) /. wall else 0.0 in
-    if drift > 0.05 then begin
-      Printf.eprintf
-        "profile: exclusive totals %.6f s drift %.1f%% from wall %.6f s\n"
-        excl (100.0 *. drift) wall;
-      exit 1
-    end;
+    if drift > 0.05 then
+      die "profile" "exclusive totals %.6f s drift %.1f%% from wall %.6f s" excl
+        (100.0 *. drift) wall;
     Printf.printf
       "validated: %d folded paths, exclusive sum within %.2f%% of wall\n"
-      (List.length
-         (List.filter
-            (fun l -> String.trim l <> "")
-            (String.split_on_char '\n' folded)))
-      (100.0 *. drift)
+      (List.length paths) (100.0 *. drift)
   in
   let run mode level workload vcpus seed format metric out validate =
     let p = Spec.point ~level ~workload ~vcpus ~seed mode in
@@ -518,15 +377,10 @@ let profile_cmd =
 (* ---- campaign sweeps ---- *)
 
 let sweep_cmd =
-  let module Spec = Svt_campaign.Spec in
   let module Campaign = Svt_campaign.Campaign in
-  let module Runner = Svt_campaign.Runner in
   let axis_conv =
-    let parse s =
-      match Spec.parse_axis s with Ok a -> Ok a | Error e -> Error (`Msg e)
-    in
-    Arg.conv
-      (parse, fun ppf (k, vs) -> Fmt.pf ppf "%s=%s" k (String.concat "," vs))
+    conv_of Spec.parse_axis (fun ppf (k, vs) ->
+        Fmt.pf ppf "%s=%s" k (String.concat "," vs))
   in
   let axes =
     Arg.(value & opt_all axis_conv []
@@ -583,7 +437,7 @@ let sweep_cmd =
                    record it quarantined with its backtrace.")
   in
   let max_sim_events =
-    Arg.(value & opt int Svt_campaign.Runner.default_max_sim_events
+    Arg.(value & opt int Runner.default_max_sim_events
          & info [ "max-sim-events" ] ~docv:"N"
              ~doc:"Deterministic fuel budget: abort a run as status timeout \
                    after N simulator events.")
@@ -618,8 +472,7 @@ let sweep_cmd =
       telemetry_every quiet =
     match Spec.of_axes axes with
     | Error e ->
-        Printf.eprintf "sweep: %s\n" e;
-        exit 2
+        die ~code:2 "sweep" "%s" e
     | Ok spec ->
         let max_sim_time =
           Option.map (fun ms -> Svt_engine.Time.of_ms ms) max_sim_ms
@@ -651,7 +504,7 @@ let sweep_cmd =
              --ledger %s ...\n"
             ledger;
         let entries =
-          List.map Svt_campaign.Ledger.entry_of_result o.Campaign.results
+          List.map Ledger.entry_of_result o.Campaign.results
         in
         (match Svt_report.Paper.speedup_rows_of_ledger entries with
         | [] -> ()
@@ -688,12 +541,11 @@ let sweep_diff_cmd =
   in
   let run old_path new_path =
     match
-      ( Svt_campaign.Ledger.load old_path,
-        Svt_campaign.Ledger.load new_path )
+      ( Ledger.load old_path,
+        Ledger.load new_path )
     with
     | Error e, _ | _, Error e ->
-        Printf.eprintf "sweep-diff: %s\n" e;
-        exit 2
+        die ~code:2 "sweep-diff" "%s" e
     | Ok old_entries, Ok new_entries ->
         let changed = Svt_report.Compare.diff_ledgers old_entries new_entries in
         if changed = 0 then
@@ -708,18 +560,12 @@ let sweep_diff_cmd =
 (* ---- fault injection ---- *)
 
 let faults_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let module Runner = Svt_campaign.Runner in
-  let module Ledger = Svt_campaign.Ledger in
   let module Plan = Svt_fault.Plan in
   let mode_arg =
     Arg.(value & opt mode_conv Mode.sw_svt_default
          & info [ "m"; "mode" ] ~docv:"MODE"
              ~doc:"Run mode (default sw-svt: the mode with the most \
                    injection sites).")
-  in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
   in
   let seed_arg =
     Arg.(value & opt int 0
@@ -747,8 +593,7 @@ let faults_cmd =
   let run mode level workload vcpus seed plan_s out =
     match Plan.of_string plan_s with
     | Error e ->
-        Printf.eprintf "faults: %s\n" e;
-        exit 2
+        die ~code:2 "faults" "%s" e
     | Ok plan ->
         let p =
           Spec.point ~level ~workload ~vcpus ~seed
@@ -842,27 +687,15 @@ let sched_cmd =
   let config_conv =
     (* "mode" or "mode/policy" *)
     let parse s =
-      let mode_s, policy_s =
-        match String.index_opt s '/' with
-        | Some i ->
-            ( String.sub s 0 i,
-              Some (String.sub s (i + 1) (String.length s - i - 1)) )
-        | None -> (s, None)
-      in
-      match Mode.of_string mode_s with
-      | Error e -> Error (`Msg e)
-      | Ok mode -> (
-          match policy_s with
-          | None -> Ok (mode, Policy.default)
-          | Some ps -> (
-              match Policy.of_string ps with
-              | Ok p -> Ok (mode, p)
-              | Error e -> Error (`Msg e)))
+      match String.index_opt s '/' with
+      | None -> Result.map (fun m -> (m, Policy.default)) (Mode.of_string s)
+      | Some i ->
+          Result.bind (Mode.of_string (String.sub s 0 i)) (fun m ->
+              Result.map (fun p -> (m, p))
+                (Policy.of_string (String.sub s (i + 1) (String.length s - i - 1))))
     in
-    Arg.conv
-      ( parse,
-        fun ppf (m, p) ->
-          Fmt.pf ppf "%s/%s" (Mode.to_string m) (Policy.name p) )
+    conv_of parse (fun ppf (m, p) ->
+        Fmt.pf ppf "%s/%s" (Mode.to_string m) (Policy.name p))
   in
   let configs_arg =
     Arg.(value & opt_all config_conv []
@@ -999,11 +832,7 @@ let cluster_cmd =
          & info [ "mode" ] ~docv:"MODE" ~doc:"Tenant run mode.")
   in
   let policy_arg =
-    let policy_conv =
-      Arg.conv
-        ( (fun s -> Result.map_error (fun e -> `Msg e) (Policy.of_string s)),
-          fun ppf p -> Fmt.string ppf (Policy.name p) )
-    in
+    let policy_conv = conv_of Policy.of_string (Fmt.of_to_string Policy.name) in
     Arg.(value & opt policy_conv Policy.Dedicated_sibling
          & info [ "policy" ] ~docv:"POLICY"
              ~doc:"Requested SVt-thread policy (the controller may degrade \
@@ -1023,10 +852,7 @@ let cluster_cmd =
   in
   let strategy_arg =
     let strategy_conv =
-      Arg.conv
-        ( (fun s ->
-            Result.map_error (fun e -> `Msg e) (Admission.strategy_of_string s)),
-          Admission.pp_strategy )
+      conv_of Admission.strategy_of_string Admission.pp_strategy
     in
     Arg.(value & opt strategy_conv Admission.Bin_pack
          & info [ "strategy" ] ~docv:"bin-pack|spread" ~doc:"Placement strategy.")
@@ -1053,8 +879,7 @@ let cluster_cmd =
       match Svt_fault.Cluster_plan.of_string fault with
       | Ok p -> p
       | Error e ->
-          Printf.eprintf "cluster: %s\n" e;
-          exit 2
+          die ~code:2 "cluster" "%s" e
     in
     let cfg =
       {
@@ -1078,8 +903,7 @@ let cluster_cmd =
       match Cluster.validate_config cfg with
       | Ok cfg -> Cluster.create cfg
       | Error e ->
-          Printf.eprintf "cluster: %s\n" e;
-          exit 2
+          die ~code:2 "cluster" "%s" e
     in
     for i = 0 to tenants - 1 do
       ignore
@@ -1100,10 +924,8 @@ let cluster_cmd =
         output_string oc table;
         output_char oc '\n';
         close_out oc);
-    if not r.Cluster.r_conserved then begin
-      Printf.eprintf "cluster: conservation violated (tenant lost)\n";
-      exit 1
-    end
+    if not r.Cluster.r_conserved then
+      die "cluster" "conservation violated (tenant lost)"
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -1129,7 +951,10 @@ let cluster_cmd =
    the event is serviced mid-episode. *)
 let blocked_demo_cmd =
   let run () =
-    let sys = make_sys Mode.sw_svt_default System.L2_nested in
+    let sys =
+      System.of_config
+        (System.Config.make ~mode:Mode.sw_svt_default ~level:System.L2_nested ())
+    in
     let vcpu = System.vcpu0 sys in
     let serviced_at = ref Time.zero in
     Vcpu.spawn_program vcpu (fun v ->
@@ -1317,16 +1142,9 @@ let fig6_cmd =
 (* ---- run one campaign point ---- *)
 
 let run_cmd =
-  let module Spec = Svt_campaign.Spec in
-  let vcpus_arg =
-    Arg.(value & opt int 1 & info [ "vcpus" ] ~docv:"N" ~doc:"Guest vCPUs.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
-  in
   let run arch mode level workload vcpus seed =
     let p = Spec.point ~arch ~level ~workload ~vcpus ~seed mode in
-    let metrics = or_budget_error "run" (fun () -> Svt_campaign.Runner.exec p) in
+    let metrics = or_budget_error "run" (fun () -> Runner.exec p) in
     Printf.printf "key    %s\n" (Spec.canonical_key p);
     Printf.printf "run_id %s\n" (Spec.run_id p);
     List.iter
@@ -1345,7 +1163,7 @@ let run_cmd =
                sw-svt -w consolidate";
          ])
     Term.(const run $ arch_arg $ mode_arg $ level_arg
-          $ workload_arg Svt_campaign.Runner.workload_names $ vcpus_arg
+          $ workload_arg Runner.workload_names $ vcpus_arg
           $ seed_arg)
 
 let default =
@@ -1359,7 +1177,7 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          [ cpuid_cmd; rr_cmd; stream_cmd; ioping_cmd; fio_cmd; etc_cmd;
-            tpcc_cmd; video_cmd; trace_cmd; profile_cmd; sweep_cmd;
-            sweep_diff_cmd; faults_cmd; fuzz_cmd; sched_cmd; cluster_cmd;
-            fig6_cmd; run_cmd; blocked_demo_cmd ]))
+          (figure_cmds
+          @ [ trace_cmd; profile_cmd; sweep_cmd; sweep_diff_cmd; faults_cmd;
+              fuzz_cmd; sched_cmd; cluster_cmd; fig6_cmd; run_cmd;
+              blocked_demo_cmd ])))

@@ -1,7 +1,8 @@
-(* The spec-point -> simulation adapter. One run = one fresh System with
-   a content-addressed PRNG seed, one workload drive, one flat metric
-   list. Parameters are deliberately fixed small constants: a campaign
-   trades per-point statistical depth for matrix breadth, and identical
+(* The spec-point -> simulation adapter and the workload registry. One
+   run = one fresh System with a content-addressed PRNG seed, one
+   workload drive, one flat metric list. A campaign always drives a
+   workload with its declared defaults, small fixed constants: it trades
+   per-point statistical depth for matrix breadth, and identical
    parameters are what make two ledgers diffable run_id by run_id. *)
 
 module Time = Svt_engine.Time
@@ -36,38 +37,11 @@ type result = {
   metrics : (string * float) list;
 }
 
-let stack_workload_names =
-  [ "cpuid"; "rr"; "stream"; "ioping"; "fio"; "etc"; "tpcc"; "video"; "spin" ]
-
 (* Default event fuel for campaign runs: far above any real workload
    (the largest sweep rows record ~10^5 events) but low enough that a
    runaway run is cut in seconds, deterministically, instead of wedging
    a worker domain until a wall-clock guess expires. *)
 let default_max_sim_events = 50_000_000
-
-let make_system ?max_sim_events ?max_sim_time (p : Spec.point) =
-  (* Derive the machine seed from the run hash: independent stream per
-     run_id, stable across scheduling orders (Prng satellite). The fault
-     seed is a further draw from the same stream, so it is equally
-     content-addressed. *)
-  let rng = Prng.of_seed (Spec.run_hash p) in
-  let seed = Prng.int rng (1 lsl 30) in
-  let fault_seed = Prng.next_int64 rng in
-  let config = { Machine.paper_config with seed } in
-  let n_vcpus =
-    (* memcached serves one worker per vCPU; keep the paper's 2-vCPU
-       floor for it so the Figure 8 shape survives a 1-vCPU axis. *)
-    if p.Spec.workload = "etc" then max 2 p.Spec.vcpus else p.Spec.vcpus
-  in
-  let faults =
-    match Svt_fault.Plan.of_string p.Spec.fault with
-    | Ok plan -> plan
-    | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e)
-  in
-  System.of_config
-    (System.Config.make ~arch:p.Spec.arch ~machine:config ~n_vcpus ~faults
-       ~fault_seed ?max_sim_events ?max_sim_time ~mode:p.Spec.mode
-       ~level:p.Spec.level ())
 
 (* The point's SVt-thread placement policy; the empty axis value means
    the scheduler's default. *)
@@ -85,30 +59,34 @@ let policy_of_point (p : Spec.point) =
    under the scheduler. Bounded by the horizon, not by event fuel. *)
 let consolidate_horizon = Time.of_ms 20
 
-let consolidate_metrics (p : Spec.point) =
+(* The point's [tenants] copies of its mode, each seeded from the run
+   hash. *)
+let tenant_specs (p : Spec.point) =
   let rng = Prng.of_seed (Spec.run_hash p) in
+  let policy = policy_of_point p in
+  List.init p.Spec.tenants (fun i ->
+      Svt_sched.Host.tenant_spec
+        ~name:(Printf.sprintf "t%d" i)
+        ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
+        ~seed:(Prng.int rng (1 lsl 30))
+        p.Spec.mode)
+
+let consolidate_metrics (p : Spec.point) =
   let topology =
     Svt_sched.Topology.create ~sockets:1 ~cores_per_socket:p.Spec.cores
       ~smt_per_core:p.Spec.smt ()
   in
   let host = Svt_sched.Host.create ~topology () in
-  let policy = policy_of_point p in
-  for i = 0 to p.Spec.tenants - 1 do
-    let spec =
-      Svt_sched.Host.tenant_spec
-        ~name:(Printf.sprintf "t%d" i)
-        ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
-        ~seed:(Prng.int rng (1 lsl 30))
-        p.Spec.mode
-    in
-    match Svt_sched.Host.add_tenant host spec with
-    | Ok () -> ()
-    | Error errs ->
-        failwith
-          (Fmt.str "run %s: tenant %d rejected: %a" (Spec.run_id p) i
-             (Fmt.list ~sep:Fmt.comma System.Config.pp_error)
-             errs)
-  done;
+  List.iteri
+    (fun i spec ->
+      match Svt_sched.Host.add_tenant host spec with
+      | Ok () -> ()
+      | Error errs ->
+          failwith
+            (Fmt.str "run %s: tenant %d rejected: %a" (Spec.run_id p) i
+               (Fmt.list ~sep:Fmt.comma System.Config.pp_error)
+               errs))
+    (tenant_specs p);
   Svt_sched.Host.run host ~horizon:consolidate_horizon;
   let r = Svt_sched.Host.report host in
   Svt_sched.Host.fields r
@@ -134,7 +112,6 @@ let cluster_metrics (p : Spec.point) =
          "run %s: cluster workload takes cluster-scope faults only (got %s)"
          (Spec.run_id p)
          (Svt_fault.Plan.to_string stack_plan));
-  let policy = policy_of_point p in
   let cluster =
     Svt_cluster.Cluster.create
       {
@@ -147,102 +124,212 @@ let cluster_metrics (p : Spec.point) =
         seed = Spec.run_hash p;
       }
   in
-  let rng = Prng.of_seed (Spec.run_hash p) in
-  for i = 0 to p.Spec.tenants - 1 do
-    ignore
-      (Svt_cluster.Cluster.submit cluster
-         (Svt_sched.Host.tenant_spec
-            ~name:(Printf.sprintf "t%d" i)
-            ~arch:p.Spec.arch ~policy ~n_vcpus:p.Spec.vcpus
-            ~seed:(Prng.int rng (1 lsl 30))
-            p.Spec.mode))
-  done;
+  List.iter
+    (fun spec -> ignore (Svt_cluster.Cluster.submit cluster spec))
+    (tenant_specs p);
   Svt_cluster.Cluster.run cluster ~horizon:cluster_horizon;
   let r = Svt_cluster.Cluster.report cluster in
   Svt_cluster.Cluster.fields r
   @ [ ("sim_now_us", Time.to_us_f (Svt_cluster.Cluster.now cluster)) ]
 
-(* The host-shaped workloads, which {!exec} runs without a single
-   stack. *)
-let host_workloads =
-  [ ("consolidate", consolidate_metrics); ("cluster", cluster_metrics) ]
+(* ---- the workload registry ---- *)
 
-let workload_names = stack_workload_names @ List.map fst host_workloads
+module Param = struct
+  type value = Int of int | Choice of string
+  type t = { name : string; doc : string; default : value; choices : string list }
+end
 
-let workload_metrics (p : Spec.point) sys =
-  match p.Spec.workload with
-  | "cpuid" ->
-      let r = Microbench.measure_cpuid sys in
-      [
-        ("per_op_us", r.Microbench.per_op_us);
-        ("samples", float_of_int r.Microbench.stats.Svt_stats.Convergence.samples_used);
-        ("exits", float_of_int r.Microbench.exits);
-      ]
-  | "rr" ->
-      let r = Netperf.run_rr ~transactions:120 sys in
-      [
-        ("mean_rtt_us", r.Netperf.mean_rtt_us);
-        ("p99_rtt_us", r.Netperf.p99_rtt_us);
-        ("transactions", float_of_int r.Netperf.transactions);
-      ]
-  | "stream" ->
-      let r = Netperf.run_stream ~duration:(Time.of_ms 10) sys in
-      [ ("mbps", r.Netperf.mbps); ("packets", float_of_int r.Netperf.packets) ]
-  | "ioping" ->
-      let r = Disk.run_ioping ~ops:100 ~op:Disk.Randread sys in
-      [ ("mean_us", r.Disk.mean_us); ("p99_us", r.Disk.p99_us) ]
-  | "fio" ->
-      let r = Disk.run_fio ~ops:200 ~depth:8 ~op:Disk.Randread sys in
-      [ ("kb_per_sec", r.Disk.kb_per_sec) ]
-  | "etc" ->
-      let r = Etc.run_point ~duration:(Time.of_ms 30) ~qps:10_000.0 sys in
-      [
-        ("achieved_qps", r.Etc.achieved_qps);
-        ("avg_us", r.Etc.avg_us);
-        ("p99_us", r.Etc.p99_us);
-        ("requests", float_of_int r.Etc.requests);
-      ]
-  | "tpcc" ->
-      let r = Tpcc.run ~duration:(Time.of_ms 50) sys in
-      [
-        ("tpm", r.Tpcc.tpm);
-        ("transactions", float_of_int r.Tpcc.transactions);
-        ("new_orders", float_of_int r.Tpcc.new_orders);
-      ]
-  | "video" ->
-      let r = Video.run ~seconds:30 ~fps:60 sys in
-      [
-        ("dropped", float_of_int r.Video.dropped);
-        ("frames", float_of_int r.Video.frames);
-        ("idle_fraction", r.Video.idle_fraction);
-      ]
-  | "spin" ->
-      (* Deliberately hung: an unbounded reflection loop (every cpuid is
-         a full nested exit episode), the resume golden test's /
-         fuel-budget victim. Only the simulator budget ends it — with no budget set
-         this never returns. *)
-      let vcpu = System.vcpu0 sys in
-      Svt_hyp.Vcpu.spawn_program vcpu (fun v ->
-          while true do
-            ignore (Svt_core.Guest.cpuid v ~leaf:1)
-          done);
-      System.run sys;
-      [ ("iterations", nan) ]
-  | w when List.mem_assoc w host_workloads ->
+type shape =
+  | Stack of ((string * Param.value) list -> System.t -> (string * float) list)
+  | Host of (Spec.point -> (string * float) list)
+
+type headline = { metric : string; lower_better : bool }
+
+type workload = {
+  name : string;
+  shape : shape;
+  doc : string;
+  params : Param.t list;
+  headline : headline option;
+  min_vcpus : int;
+}
+
+let int name doc default =
+  { Param.name; doc; default = Param.Int default; choices = [] }
+
+let duration default = int "duration-ms" "Run duration in simulated ms." default
+let disk_ops = [ ("randread", Disk.Randread); ("randwrite", Disk.Randwrite) ]
+
+let op =
+  { Param.name = "op"; doc = "randread or randwrite.";
+    default = Param.Choice "randread"; choices = List.map fst disk_ops }
+
+(* A drive gets every declared parameter, each checked by {!drive}. *)
+let get ps name =
+  match List.assoc name ps with Param.Int n -> n | Param.Choice _ -> assert false
+
+let ms ps name = Time.of_ms (get ps name)
+
+let disk_op ps =
+  match List.assoc "op" ps with
+  | Param.Choice c -> List.assoc c disk_ops
+  | Param.Int _ -> assert false
+
+let lower metric = Some { metric; lower_better = true }
+let higher metric = Some { metric; lower_better = false }
+
+let stack ?(min_vcpus = 1) name doc params headline drive =
+  { name; shape = Stack drive; doc; params; headline; min_vcpus }
+
+let host name doc headline run =
+  { name; shape = Host run; doc; params = []; headline; min_vcpus = 1 }
+
+(* Each default is the campaign's: a small fixed constant, so a sweep
+   stays fast and two ledgers diff run_id by run_id. *)
+let workloads =
+  [
+    stack "cpuid" "The cpuid micro-benchmark (Table 1 / Figure 6)."
+      [ int "workload" "Dependent increments per iteration." 0 ]
+      (lower "per_op_us")
+      (fun ps sys ->
+        let r = Microbench.measure_cpuid ~workload:(get ps "workload") sys in
+        [ ("per_op_us", r.Microbench.per_op_us);
+          ("samples", float_of_int r.Microbench.stats.Svt_stats.Convergence.samples_used);
+          ("exits", float_of_int r.Microbench.exits) ]);
+    stack "rr" "netperf TCP_RR latency (Figure 7)."
+      [ int "transactions" "Round trips." 120 ] (lower "mean_rtt_us")
+      (fun ps sys ->
+        let r = Netperf.run_rr ~transactions:(get ps "transactions") sys in
+        [ ("mean_rtt_us", r.Netperf.mean_rtt_us); ("p99_rtt_us", r.Netperf.p99_rtt_us);
+          ("transactions", float_of_int r.Netperf.transactions) ]);
+    stack "stream" "netperf TCP_STREAM throughput (Figure 7)."
+      [ duration 10 ] (higher "mbps")
+      (fun ps sys ->
+        let r = Netperf.run_stream ~duration:(ms ps "duration-ms") sys in
+        [ ("mbps", r.Netperf.mbps); ("packets", float_of_int r.Netperf.packets) ]);
+    stack "ioping" "512 B disk latency at QD1 (Figure 7)."
+      [ op; int "ops" "Operations." 100 ] (lower "mean_us")
+      (fun ps sys ->
+        let r = Disk.run_ioping ~ops:(get ps "ops") ~op:(disk_op ps) sys in
+        [ ("mean_us", r.Disk.mean_us); ("p99_us", r.Disk.p99_us) ]);
+    stack "fio" "4 KB disk bandwidth (Figure 7)."
+      [ op; int "ops" "Operations." 200; int "depth" "Queue depth." 8 ]
+      (higher "kb_per_sec")
+      (fun ps sys ->
+        let r =
+          Disk.run_fio ~ops:(get ps "ops") ~depth:(get ps "depth") ~op:(disk_op ps) sys
+        in
+        [ ("kb_per_sec", r.Disk.kb_per_sec) ]);
+    (* memcached serves one worker per vCPU; keep the paper's 2-vCPU
+       floor so the Figure 8 shape survives a 1-vCPU axis. *)
+    stack "etc" ~min_vcpus:2 "memcached with Facebook's ETC workload (Figure 8)."
+      [ int "qps" "Offered load." 10_000; duration 30 ] (lower "p99_us")
+      (fun ps sys ->
+        let qps = float_of_int (get ps "qps") in
+        let r = Etc.run_point ~duration:(ms ps "duration-ms") ~qps sys in
+        [ ("achieved_qps", r.Etc.achieved_qps); ("avg_us", r.Etc.avg_us);
+          ("p99_us", r.Etc.p99_us); ("requests", float_of_int r.Etc.requests) ]);
+    stack "tpcc" "TPC-C over the mini storage engine (Figure 9)."
+      [ duration 50 ] (higher "tpm")
+      (fun ps sys ->
+        let r = Tpcc.run ~duration:(ms ps "duration-ms") sys in
+        [ ("tpm", r.Tpcc.tpm); ("transactions", float_of_int r.Tpcc.transactions);
+          ("new_orders", float_of_int r.Tpcc.new_orders) ]);
+    stack "video" "Soft-realtime video playback (Figure 10)."
+      [ int "fps" "Frame rate." 60; int "seconds" "Playback length." 30 ]
+      (lower "dropped")
+      (fun ps sys ->
+        let r = Video.run ~seconds:(get ps "seconds") ~fps:(get ps "fps") sys in
+        [ ("dropped", float_of_int r.Video.dropped);
+          ("frames", float_of_int r.Video.frames);
+          ("idle_fraction", r.Video.idle_fraction) ]);
+    (* Deliberately hung: every cpuid is a full nested exit episode, and
+       only the simulator's fuel budget ends the loop. The resume golden
+       test's timeout row. *)
+    stack "spin" "A hung reflection loop that only a fuel budget ends." [] None
+      (fun _ sys ->
+        Svt_hyp.Vcpu.spawn_program (System.vcpu0 sys) (fun v ->
+            while true do
+              ignore (Svt_core.Guest.cpuid v ~leaf:1)
+            done);
+        System.run sys;
+        [ ("iterations", nan) ]);
+    host "consolidate" "Tenants time-sliced on one scheduled SMT host."
+      (higher "sched.aggregate_kops") consolidate_metrics;
+    host "cluster" "A fleet of hosts behind admission control."
+      (higher "cluster.aggregate_kops") cluster_metrics;
+  ]
+
+let workload_names = List.map (fun w -> w.name) workloads
+
+let stack_workload_names =
+  List.filter_map
+    (fun w -> match w.shape with Stack _ -> Some w.name | Host _ -> None)
+    workloads
+
+let find_opt name = List.find_opt (fun w -> w.name = name) workloads
+
+let find name =
+  match find_opt name with
+  | Some w -> w
+  | None ->
+      failwith
+        (Printf.sprintf "unknown workload %S (expected one of %s)" name
+           (String.concat ", " workload_names))
+
+let speedup h ~base v = if h.lower_better then base /. v else v /. base
+
+let drive w ?(params = []) sys =
+  match w.shape with
+  | Host _ ->
       failwith
         (Printf.sprintf
            "workload %S is host-shaped: it builds its own hosts rather than \
             driving one stack, so it runs only through Runner.exec"
-           w)
-  | w ->
-      failwith
-        (Printf.sprintf "unknown workload %S (expected one of %s)" w
-           (String.concat ", " workload_names))
+           w.name)
+  | Stack f ->
+      let valid (p : Param.t) = function
+        | Param.Int _ -> p.choices = []
+        | Param.Choice c -> List.mem c p.choices
+      in
+      List.iter
+        (fun (k, v) ->
+          match List.find_opt (fun (p : Param.t) -> p.name = k) w.params with
+          | Some p when valid p v -> ()
+          | _ -> invalid_arg (Printf.sprintf "workload %s: bad parameter %s" w.name k))
+        params;
+      f (params @ List.map (fun (p : Param.t) -> (p.name, p.default)) w.params) sys
+
+let make_system ?max_sim_events ?max_sim_time (p : Spec.point) =
+  (* Derive the machine seed from the run hash: independent stream per
+     run_id, stable across scheduling orders (Prng satellite). The fault
+     seed is a further draw from the same stream, so it is equally
+     content-addressed. *)
+  let rng = Prng.of_seed (Spec.run_hash p) in
+  let seed = Prng.int rng (1 lsl 30) in
+  let fault_seed = Prng.next_int64 rng in
+  let config = { Machine.paper_config with seed } in
+  let n_vcpus =
+    match find_opt p.Spec.workload with
+    | Some w -> max w.min_vcpus p.Spec.vcpus
+    | None -> p.Spec.vcpus
+  in
+  let faults =
+    match Svt_fault.Plan.of_string p.Spec.fault with
+    | Ok plan -> plan
+    | Error e -> failwith (Printf.sprintf "run %s: %s" (Spec.run_id p) e)
+  in
+  System.of_config
+    (System.Config.make ~arch:p.Spec.arch ~machine:config ~n_vcpus ~faults
+       ~fault_seed ?max_sim_events ?max_sim_time ~mode:p.Spec.mode
+       ~level:p.Spec.level ())
+
+let workload_metrics (p : Spec.point) sys = drive (find p.Spec.workload) sys
 
 let exec ?(max_sim_events = default_max_sim_events) ?max_sim_time p =
-  match List.assoc_opt p.Spec.workload host_workloads with
-  | Some host_metrics -> host_metrics p
-  | None ->
+  match find_opt p.Spec.workload with
+  | Some { shape = Host host_metrics; _ } -> host_metrics p
+  | Some { shape = Stack _; _ } | None ->
       let sys = make_system ~max_sim_events ?max_sim_time p in
       (* Per-span-kind summaries ride along in every ledger row, so
          sweep-diff can compare exit-path composition across revisions. The

@@ -34,17 +34,68 @@ type result = {
           empty unless [status = Run_ok] *)
 }
 
-val stack_workload_names : string list
-(** The stack-shaped workloads, which {!workload_metrics} drives on one
-    built system: cpuid, rr, stream, ioping, fio, etc, tpcc, video, spin
+(** {1 The workload registry}
+
+    One table names every workload, says how to drive it and what it
+    measures. The campaign, the per-figure [svt_sim] subcommands, the
+    bench figures and the paper's speedup rows all read it. *)
+
+module Param : sig
+  type value = Int of int | Choice of string
+
+  type t = {
+    name : string;  (** also the subcommand's flag: [--name] *)
+    doc : string;
+    default : value;  (** the value a campaign run uses *)
+    choices : string list;  (** the allowed values of a [Choice]; [[]] for an [Int] *)
+  }
+end
+
+type shape =
+  | Stack of ((string * Param.value) list -> Svt_core.System.t -> (string * float) list)
+      (** drives one built stack; the list holds every declared parameter *)
+  | Host of (Spec.point -> (string * float) list)
+      (** builds its own hosts from the point's axes *)
+
+type headline = { metric : string; lower_better : bool }
+
+type workload = {
+  name : string;
+  shape : shape;
+  doc : string;  (** one line, naming the paper figure it reproduces *)
+  params : Param.t list;
+  headline : headline option;  (** [None] only for spin, which never finishes *)
+  min_vcpus : int;  (** {!make_system} raises the point's vCPU count to this *)
+}
+
+val workloads : workload list
+(** In order: cpuid, rr, stream, ioping, fio, etc, tpcc, video, spin
     (a deliberately hung reflection loop for exercising the fuel budget
-    — never run it without one). *)
+    — never run it without one), then the host-shaped consolidate
+    (tenants time-sliced on one scheduled host) and cluster (a fleet of
+    hosts behind admission control). *)
+
+val find : string -> workload
+(** Raises [Failure] naming {!workload_names} for an unknown name. *)
+
+val drive :
+  workload ->
+  ?params:(string * Param.value) list ->
+  Svt_core.System.t ->
+  (string * float) list
+(** Drive a stack-shaped workload on a built system. [params] override
+    the declared defaults by name. Raises [Failure] for a host-shaped
+    workload (saying it must go through {!exec}) and [Invalid_argument]
+    for an undeclared parameter or a value of the wrong kind. *)
+
+val speedup : headline -> base:float -> float -> float
+(** How many times better a headline value is than [base]. *)
+
+val stack_workload_names : string list
+(** The names of the [Stack] entries of {!workloads}. *)
 
 val workload_names : string list
-(** The registry: {!stack_workload_names} followed by the host-shaped
-    workloads consolidate (tenants time-sliced on one scheduled host)
-    and cluster (a fleet of hosts behind admission control), which build
-    their own hosts and run only through {!exec}. *)
+(** The names of all {!workloads}. *)
 
 val default_max_sim_events : int
 (** {!exec}'s default event fuel (50M): far above any real workload but
@@ -58,15 +109,15 @@ val make_system :
 (** Build the point's system (content-addressed PRNG seed, paper
     config) without running anything — callers that want to install
     observability sinks first (the [trace] subcommand) use this and
-    then {!workload_metrics}. The optional fuel budget is installed on
-    the system's simulator (default: none). *)
+    then {!workload_metrics}. The vCPU count is at least the workload's
+    [min_vcpus]. The optional fuel budget is installed on the system's
+    simulator (default: none). *)
 
 val workload_metrics : Spec.point -> Svt_core.System.t -> (string * float) list
-(** Drive the point's workload on an already-built system and return
-    its metric list (without the [sim_*] extras {!exec} appends).
-    Raises [Failure] for a host-shaped workload (saying it must go
-    through {!exec}) and for an unknown one (listing
-    {!workload_names}). *)
+(** {!drive} the point's workload with its defaults on an already-built
+    system and return its metric list (without the [sim_*] extras
+    {!exec} appends). Raises [Failure] for a host-shaped or an unknown
+    workload, as {!drive} and {!find} do. *)
 
 val exec :
   ?max_sim_events:int ->
@@ -78,7 +129,7 @@ val exec :
     {!Svt_engine.Simulator.Budget_exhausted} when the fuel budget
     (default [max_sim_events = default_max_sim_events]) is spent — the
     campaign layer maps that to a [timeout] ledger row carrying the
-    fuel counters. Workload parameters are fixed, modest constants so
+    fuel counters. Workloads run with their declared defaults, so
     sweeps stay fast and deterministic. Also installs a timeline sink
     and appends the per-span-kind [obs.*] summary fields
     ({!Svt_obs.Export.fields}). *)

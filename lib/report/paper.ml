@@ -28,7 +28,6 @@ type fig7_row = {
   name : string;
   baseline : float;
   unit_ : string;
-  higher_better : bool;
   sw_speedup : float;
   hw_speedup : float;
 }
@@ -36,17 +35,17 @@ type fig7_row = {
 let fig7 =
   [
     { name = "net-latency"; baseline = 163.0; unit_ = "usec";
-      higher_better = false; sw_speedup = 1.10; hw_speedup = 2.38 };
+      sw_speedup = 1.10; hw_speedup = 2.38 };
     { name = "net-bandwidth"; baseline = 9387.0; unit_ = "Mbps";
-      higher_better = true; sw_speedup = 1.00; hw_speedup = 1.12 };
+      sw_speedup = 1.00; hw_speedup = 1.12 };
     { name = "disk-randrd-latency"; baseline = 126.0; unit_ = "usec";
-      higher_better = false; sw_speedup = 1.30; hw_speedup = 2.18 };
+      sw_speedup = 1.30; hw_speedup = 2.18 };
     { name = "disk-randrd-bandwidth"; baseline = 87136.0; unit_ = "KB/s";
-      higher_better = true; sw_speedup = 1.55; hw_speedup = 2.31 };
+      sw_speedup = 1.55; hw_speedup = 2.31 };
     { name = "disk-randwr-latency"; baseline = 179.0; unit_ = "usec";
-      higher_better = false; sw_speedup = 1.05; hw_speedup = 2.26 };
+      sw_speedup = 1.05; hw_speedup = 2.26 };
     { name = "disk-randwr-bandwidth"; baseline = 55769.0; unit_ = "KB/s";
-      higher_better = true; sw_speedup = 1.18; hw_speedup = 2.60 };
+      sw_speedup = 1.18; hw_speedup = 2.60 };
   ]
 
 (* Figure 8: memcached/ETC. *)
@@ -102,6 +101,7 @@ let table4 =
 
 module Ledger = Svt_campaign.Ledger
 module Spec = Svt_campaign.Spec
+module Runner = Svt_campaign.Runner
 
 let ledger_metric entries ~mode ~level ~workload name =
   List.find_map
@@ -118,40 +118,37 @@ let ledger_metric entries ~mode ~level ~workload name =
       else None)
     entries
 
-(* (metric label, workload, headline metric, lower-is-better, paper SW
-   speedup, paper HW speedup) for every registry workload the paper
-   publishes nested speedups for; the fig7 rows above are the source of
-   truth for the published numbers. *)
+(* (row label, registry workload, paper SW speedup, paper HW speedup)
+   for every workload the paper publishes nested speedups for; the
+   registry supplies the headline metric and its direction, and the
+   fig7 rows above are the source of truth for the published numbers. *)
 let ledger_speedup_specs =
-  let f7 name =
-    let r = List.find (fun r -> r.name = name) fig7 in
-    (r.sw_speedup, r.hw_speedup)
+  let f7 label workload =
+    let r = List.find (fun r -> r.name = label) fig7 in
+    (label, workload, r.sw_speedup, r.hw_speedup)
   in
-  let net_lat = f7 "net-latency" in
-  let net_bw = f7 "net-bandwidth" in
-  let disk_lat = f7 "disk-randrd-latency" in
-  let disk_bw = f7 "disk-randrd-bandwidth" in
   [
-    ("cpuid latency", "cpuid", "per_op_us", true, fig6_sw_speedup, fig6_hw_speedup);
-    ("net-latency", "rr", "mean_rtt_us", true, fst net_lat, snd net_lat);
-    ("net-bandwidth", "stream", "mbps", false, fst net_bw, snd net_bw);
-    ("disk-randrd-latency", "ioping", "mean_us", true, fst disk_lat, snd disk_lat);
-    ("disk-randrd-bandwidth", "fio", "kb_per_sec", false, fst disk_bw, snd disk_bw);
+    ("cpuid latency", "cpuid", fig6_sw_speedup, fig6_hw_speedup);
+    f7 "net-latency" "rr";
+    f7 "net-bandwidth" "stream";
+    f7 "disk-randrd-latency" "ioping";
+    f7 "disk-randrd-bandwidth" "fio";
   ]
 
 let speedup_rows_of_ledger entries =
   let level = Svt_core.System.L2_nested in
   List.concat_map
-    (fun (label, workload, metric, lower_better, paper_sw, paper_hw) ->
-      match
-        ledger_metric entries ~mode:Svt_core.Mode.Baseline ~level ~workload
-          metric
-      with
+    (fun (label, workload, paper_sw, paper_hw) ->
+      let w = Runner.find workload in
+      let h = Option.get w.Runner.headline in
+      let metric mode =
+        ledger_metric entries ~mode ~level ~workload h.Runner.metric
+      in
+      match metric Svt_core.Mode.Baseline with
       | None -> []
       | Some base ->
-          let speedup v = if lower_better then base /. v else v /. base in
           let row mode paper =
-            match ledger_metric entries ~mode ~level ~workload metric with
+            match metric mode with
             | None -> []
             | Some v ->
                 [
@@ -160,7 +157,7 @@ let speedup_rows_of_ledger entries =
                       Printf.sprintf "%s %s speedup" label
                         (Svt_core.Mode.to_string mode);
                     paper;
-                    measured = speedup v;
+                    measured = Runner.speedup h ~base v;
                     unit_ = "x";
                   };
                 ]

@@ -436,7 +436,7 @@ let () =
         ] );
       ( "backend",
         [
-          Alcotest.test_case "string tables + aliases + shims" `Quick
+          Alcotest.test_case "string tables + aliases" `Quick
             test_backend_string_tables;
           QCheck_alcotest.to_alcotest backend_arch_mode_roundtrip;
           Alcotest.test_case "every exit costed and named on every backend"

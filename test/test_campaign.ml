@@ -791,6 +791,66 @@ let test_workload_metrics_errors () =
        (fun n -> List.mem n Runner.workload_names)
        ("consolidate" :: "cluster" :: Runner.stack_workload_names))
 
+(* --- The workload registry ------------------------------------------------ *)
+
+let test_registry_names_unique () =
+  let names = List.map (fun (w : Runner.workload) -> w.Runner.name) Runner.workloads in
+  checki "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  checkb "workload_names is the table" true (names = Runner.workload_names)
+
+(* Every finishing stack workload, driven with its declared defaults,
+   reports finite values, its headline metric among them. *)
+let test_registry_defaults_drive () =
+  List.iter
+    (fun (w : Runner.workload) ->
+      match (w.Runner.shape, w.Runner.name) with
+      | Runner.Host _, _ | Runner.Stack _, "spin" -> ()
+      | Runner.Stack _, name ->
+          let p = Spec.point ~workload:name Mode.Baseline in
+          let metrics = Runner.drive w (Runner.make_system p) in
+          (match w.Runner.headline with
+          | Some h ->
+              checkb (name ^ " reports its headline " ^ h.Runner.metric) true
+                (List.mem_assoc h.Runner.metric metrics)
+          | None -> Alcotest.failf "%s has no headline metric" name);
+          List.iter
+            (fun (k, v) -> checkb (name ^ "." ^ k ^ " finite") true (Float.is_finite v))
+            metrics)
+    Runner.workloads
+
+(* The sweep footer: each paper workload run under baseline, sw-svt and
+   hw-svt at L2 yields one sw-svt and one hw-svt speedup row. A headline
+   metric renamed in the registry or in a drive drops rows here. *)
+let test_paper_speedup_rows () =
+  let workloads = [ "cpuid"; "rr"; "stream"; "ioping"; "fio" ] in
+  let o =
+    Campaign.execute ~jobs:1 ~retries:0
+      (Spec.cartesian
+         ~modes:[ Mode.Baseline; Mode.sw_svt_default; Mode.Hw_svt ]
+         ~workloads ())
+  in
+  let rows =
+    Svt_report.Paper.speedup_rows_of_ledger
+      (List.map Ledger.entry_of_result o.Campaign.results)
+  in
+  checki "two rows per paper workload" (2 * List.length workloads)
+    (List.length rows);
+  List.iter
+    (fun (r : Svt_report.Compare.row) ->
+      checkb (r.Svt_report.Compare.metric ^ " finite") true
+        (Float.is_finite r.Svt_report.Compare.measured))
+    rows;
+  List.iter
+    (fun mode ->
+      checki (mode ^ " rows") (List.length workloads)
+        (List.length
+           (List.filter
+              (fun (r : Svt_report.Compare.row) ->
+                contains_sub r.Svt_report.Compare.metric (" " ^ mode ^ " "))
+              rows)))
+    [ "sw-svt"; "hw-svt" ]
+
 (* --- Telemetry heartbeats in the ledger ----------------------------------- *)
 
 module Heartbeat = Svt_campaign.Heartbeat
@@ -951,6 +1011,13 @@ let () =
             test_fuel_budget_cuts_hung_workload;
           Alcotest.test_case "workload_metrics errors" `Quick
             test_workload_metrics_errors;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "defaults drive every stack workload" `Quick
+            test_registry_defaults_drive;
+          Alcotest.test_case "paper speedup rows" `Quick test_paper_speedup_rows;
         ] );
       ( "telemetry",
         [
