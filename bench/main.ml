@@ -7,11 +7,12 @@
        dune exec bench/main.exe -- jobs=4   # shard run matrices over domains
 
    Sections: table1 table2 table3 table4 fig6 fig7 fig8 fig9 fig10
-             channels ablation faults sched cluster profile perf-check
+             channels ablation faults sched cluster
 
    An unknown section or a malformed jobs=N exits 2 and lists the
    sections. Every section's quick output except fig10's is pinned in
-   test/golden.
+   test/golden. Host-side speed is perfbench's to measure (make
+   perf-check), not this harness's.
 
    The matrix-shaped sections (fig6, fig7, fig10) go through the
    lib/campaign worker pool: jobs=1 (the default) is the sequential
@@ -559,14 +560,6 @@ let faults () =
 
 (* ------------------------------------------------------------------ sched *)
 
-(* A host configuration's row label: the policy only means something for
-   SW SVt stacks. *)
-let config_label mode policy =
-  match mode with
-  | Mode.Sw_svt _ ->
-      Printf.sprintf "%s/%s" (Mode.to_string mode) (Svt_sched.Policy.name policy)
-  | _ -> Mode.to_string mode
-
 (* Whole-host consolidation: eight single-vCPU tenants (each a complete
    nested stack) packed onto a 4-core x 2-SMT host under each SVt-thread
    provisioning policy. The interesting shape: dedicating a sibling per
@@ -599,20 +592,14 @@ let sched () =
       Host.run host ~horizon;
       let r = Host.report host in
       let sum f = List.fold_left (fun a tr -> a +. f tr) 0.0 r.Host.tenant_reports in
-      Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!" (config_label mode policy)
+      Printf.printf "   %-28s %9.1f %13.2f %9.1f%% %10.2f %9.1f\n%!"
+        (Policy.config_label mode policy)
         r.Host.aggregate_kops
         (sum (fun tr -> tr.Host.per_exit_us) /. float_of_int (max 1 (List.length r.Host.tenant_reports)))
         (100.0 *. r.Host.occupancy)
         (sum (fun tr -> tr.Host.steal_ms))
         (sum (fun tr -> tr.Host.wake_penalty_us)))
-    [
-      (Mode.Baseline, Policy.default);
-      (Mode.sw_svt_default, Svt_core.Mode.Dedicated_sibling);
-      (Mode.sw_svt_default, Svt_core.Mode.On_demand_donation);
-      (Mode.sw_svt_default, Svt_core.Mode.Shared_pool { threads = 2 });
-      (Mode.Hw_svt, Policy.default);
-      (Mode.Ooh, Policy.default);
-    ]
+    Policy.default_configs
 
 (* ---------------------------------------------------------------- cluster *)
 
@@ -645,7 +632,8 @@ let cluster () =
       Cluster.run fleet ~horizon;
       let r = Cluster.report fleet in
       if not r.Cluster.r_conserved then failwith "cluster: tenant lost";
-      Printf.printf "   %-28s %9.1f %7d %7d %7d %7d %12.2f\n%!" (config_label mode policy)
+      Printf.printf "   %-28s %9.1f %7d %7d %7d %7d %12.2f\n%!"
+        (Policy.config_label mode policy)
         r.Cluster.r_aggregate_kops r.Cluster.r_placed r.Cluster.r_evictions
         r.Cluster.r_readmissions r.Cluster.r_quarantines
         r.Cluster.r_survivor_p99_per_exit_us)
@@ -656,179 +644,6 @@ let cluster () =
       (Mode.Ooh, Policy.default);
     ]
 
-(* ---------------------------------------------------------------- profile *)
-
-(* Self-profiling trajectory (BENCH_obs.json): how fast the simulator
-   retires events on the paper's two characteristic shapes — the fig6
-   nested cpuid microbench and a whole-host consolidation run — plus
-   what the profiler itself costs when armed (wall-clock ratio and
-   allocated bytes per event). The simulated results are identical with
-   the profiler on or off (the determinism suite asserts it); these
-   numbers only track the host-side cost trajectory across PRs. *)
-let profile () =
-  header "profile: self-profiler throughput + overhead (BENCH_obs.json)";
-  let module Profiler = Svt_obs.Profiler in
-  let module Simulator = Svt_engine.Simulator in
-  let reps = if quick then 3 else 7 in
-  let median samples =
-    let a = Array.of_list samples in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let p = Spec.point ~workload:"cpuid" Mode.sw_svt_default in
-  (* one measured rep: wall seconds, events retired, profiler (if armed) *)
-  let rep ~armed () =
-    let sys = Runner.make_system p in
-    let prof =
-      if not armed then None
-      else begin
-        let prof = Profiler.create () in
-        Svt_obs.Probe.subscribe (System.probe sys) (Profiler.sink prof);
-        Simulator.set_observer (System.sim sys) (Some (Profiler.observer prof));
-        Profiler.start prof;
-        Some prof
-      end
-    in
-    let t0 = Unix.gettimeofday () in
-    ignore (Runner.workload_metrics p sys : (string * float) list);
-    let wall = Unix.gettimeofday () -. t0 in
-    Option.iter Profiler.stop prof;
-    (wall, Simulator.events_processed (System.sim sys), prof)
-  in
-  ignore (rep ~armed:true () : float * int * Profiler.t option) (* warm-up *);
-  let null_walls = List.init reps (fun _ -> let w, _, _ = rep ~armed:false () in w) in
-  let armed = List.init reps (fun _ -> rep ~armed:true ()) in
-  let _, events, _ = List.hd armed in
-  let null_wall = median null_walls in
-  let armed_wall = median (List.map (fun (w, _, _) -> w) armed) in
-  let alloc_bytes =
-    median
-      (List.filter_map
-         (fun (_, _, prof) -> Option.map Profiler.allocated_bytes prof)
-         armed)
-  in
-  let events_per_sec = float_of_int events /. null_wall in
-  let overhead_ratio = armed_wall /. null_wall in
-  let alloc_bytes_per_event = alloc_bytes /. float_of_int events in
-  Printf.printf
-    "  fig6 cpuid (sw-svt, l2): %d events, %.0f events/sec, profiler \
-     overhead x%.2f, %.0f B allocated/event\n%!"
-    events events_per_sec overhead_ratio alloc_bytes_per_event;
-  (* whole-host consolidation: 8 nested tenants on 4 cores x 2 SMT *)
-  let module Topology = Svt_sched.Topology in
-  let module Policy = Svt_sched.Policy in
-  let module Host = Svt_sched.Host in
-  let horizon = Svt_engine.Time.of_ms (if quick then 2 else 5) in
-  let consolidate_rep () =
-    let topology =
-      Topology.create ~sockets:1 ~cores_per_socket:4 ~smt_per_core:2 ()
-    in
-    let host = Host.create ~topology () in
-    for i = 0 to 7 do
-      match
-        Host.add_tenant host
-          (Host.tenant_spec ~policy:Svt_core.Mode.Dedicated_sibling ~seed:i
-             Mode.sw_svt_default)
-      with
-      | Ok () -> ()
-      | Error _ -> failwith "profile: consolidation tenant rejected"
-    done;
-    let t0 = Unix.gettimeofday () in
-    Host.run host ~horizon;
-    let wall = Unix.gettimeofday () -. t0 in
-    (wall, Host.events host)
-  in
-  ignore (consolidate_rep () : float * int) (* warm-up *);
-  let cons = List.init reps (fun _ -> consolidate_rep ()) in
-  let _, cons_events = List.hd cons in
-  let cons_wall = median (List.map fst cons) in
-  let consolidate_events_per_sec = float_of_int cons_events /. cons_wall in
-  Printf.printf "  consolidate (8 tenants): %d events, %.0f events/sec\n%!"
-    cons_events consolidate_events_per_sec;
-  let path =
-    Bench_out.write ~section:"obs"
-      [
-        ("reps", Bench_out.Int reps);
-        ("events", Bench_out.Int events);
-        ("events_per_sec", Bench_out.Float events_per_sec);
-        ("overhead_ratio", Bench_out.Float overhead_ratio);
-        ("alloc_bytes_per_event", Bench_out.Float alloc_bytes_per_event);
-        ("consolidate_events", Bench_out.Int cons_events);
-        ( "consolidate_events_per_sec",
-          Bench_out.Float consolidate_events_per_sec );
-      ]
-  in
-  Printf.printf "  wrote %s\n%!" path
-
-(* ------------------------------------------------------------- perf-check *)
-
-(* Gate BENCH_obs.json against the checked-in envelope
-   (BENCH_obs.envelope.json): fail on a >30% regression. Throughput
-   floors regress downward (measured < baseline / margin); cost
-   ceilings regress upward (measured > baseline * margin). The
-   envelope's throughput baselines are set conservatively low so that
-   host-speed variation does not trip the gate, while the
-   host-speed-independent ratios (overhead, bytes/event) gate tightly. *)
-let perf_check () =
-  header "perf-check: BENCH_obs.json vs checked-in envelope";
-  let margin = 1.3 in
-  let read_fields path =
-    if not (Sys.file_exists path) then begin
-      Printf.printf "  %s missing (run the profile section first)\n%!" path;
-      exit 1
-    end;
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let fail () =
-      Printf.printf "  %s is not a JSON object\n%!" path;
-      exit 1
-    in
-    match Svt_campaign.Ledger.parse_json (String.trim s) with
-    | Svt_campaign.Ledger.Obj fields ->
-        List.filter_map
-          (function
-            | k, Svt_campaign.Ledger.Num v -> Some (k, v)
-            | _ -> None)
-          fields
-    | _ -> fail ()
-    | exception Svt_campaign.Ledger.Parse_error _ -> fail ()
-  in
-  let measured = read_fields "BENCH_obs.json" in
-  let envelope = read_fields "BENCH_obs.envelope.json" in
-  let get src name =
-    match List.assoc_opt name src with
-    | Some v -> v
-    | None ->
-        Printf.printf "  missing field %s\n%!" name;
-        exit 1
-  in
-  let failures = ref 0 in
-  let gate name ~kind =
-    let m = get measured name and b = get envelope name in
-    let ok, bound =
-      match kind with
-      | `Floor -> (m >= b /. margin, b /. margin)
-      | `Ceiling -> (m <= b *. margin, b *. margin)
-    in
-    Printf.printf "  %-28s %12.2f %s %12.2f (baseline %.2f)  %s\n%!" name m
-      (match kind with `Floor -> ">=" | `Ceiling -> "<=")
-      bound b
-      (if ok then "ok" else "FAIL");
-    if not ok then incr failures
-  in
-  gate "events_per_sec" ~kind:`Floor;
-  gate "consolidate_events_per_sec" ~kind:`Floor;
-  gate "overhead_ratio" ~kind:`Ceiling;
-  gate "alloc_bytes_per_event" ~kind:`Ceiling;
-  if !failures > 0 then begin
-    Printf.printf
-      "  %d metric(s) regressed >30%% against BENCH_obs.envelope.json\n%!"
-      !failures;
-    exit 1
-  end;
-  Printf.printf "  all metrics within the envelope\n%!"
-
 (* ------------------------------------------------------------- dispatch *)
 
 (* Every section, in the order a run with no section named runs them. *)
@@ -838,7 +653,7 @@ let sections =
     ("table4", table4); ("fig6", fig6); ("fig7", fig7); ("fig8", fig8);
     ("fig9", fig9); ("fig10", fig10); ("channels", channels);
     ("ablation", ablation); ("faults", faults); ("sched", sched);
-    ("cluster", cluster); ("profile", profile); ("perf-check", perf_check);
+    ("cluster", cluster);
   ]
 
 let () =

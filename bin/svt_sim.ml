@@ -271,8 +271,10 @@ let profile_cmd =
     Arg.(value & flag
          & info [ "validate" ]
              ~doc:"Check the profile invariants: folded output non-empty \
-                   and parseable, and the exclusive-time totals sum to the \
-                   measured wall time within 5%; exit 1 on failure.")
+                   and parseable, the exclusive-time totals sum to the \
+                   measured wall time within 5%, and the armed profiler \
+                   costs at most 2.86x the unarmed wall time (median of 3 \
+                   runs each); exit 1 on failure.")
   in
   (* The folded format is consumed by external tools, so --validate
      re-parses what we emit: every line must be "frame[;frame]* <int>". *)
@@ -302,15 +304,47 @@ let profile_cmd =
       "validated: %d folded paths, exclusive sum within %.2f%% of wall\n"
       (List.length paths) (100.0 *. drift)
   in
-  let run mode level workload vcpus seed format metric out validate =
-    let p = Spec.point ~level ~workload ~vcpus ~seed mode in
-    let sys =
-      Runner.make_system ~max_sim_events:Runner.default_max_sim_events p
-    in
+  let make_system p =
+    Runner.make_system ~max_sim_events:Runner.default_max_sim_events p
+  in
+  let arm sys =
     let prof = Profiler.create () in
     Probe.subscribe (System.probe sys) (Profiler.sink prof);
     Simulator.set_observer (System.sim sys) (Some (Profiler.observer prof));
     Profiler.start prof;
+    prof
+  in
+  (* --validate also bounds what arming costs: after a warm-up, the
+     median wall time of 3 armed runs of the point over that of 3
+     unarmed runs. *)
+  let max_overhead = 2.86 in
+  let validate_overhead p =
+    let timed ~armed =
+      let sys = make_system p in
+      if armed then ignore (arm sys : Profiler.t);
+      let t0 = Unix.gettimeofday () in
+      ignore (Runner.workload_metrics p sys : (string * float) list);
+      Unix.gettimeofday () -. t0
+    in
+    let median_of_3 ~armed =
+      let a = Array.init 3 (fun _ -> timed ~armed) in
+      Array.sort compare a;
+      a.(1)
+    in
+    ignore (timed ~armed:true : float);
+    let unarmed = median_of_3 ~armed:false in
+    let ratio = median_of_3 ~armed:true /. unarmed in
+    let msg =
+      Printf.sprintf "armed profiler costs x%.2f wall time (ceiling x%.2f)"
+        ratio max_overhead
+    in
+    if ratio > max_overhead then die "profile" "%s" msg;
+    print_endline ("validated: " ^ msg)
+  in
+  let run mode level workload vcpus seed format metric out validate =
+    let p = Spec.point ~level ~workload ~vcpus ~seed mode in
+    let sys = make_system p in
+    let prof = arm sys in
     let metrics =
       or_budget_error "profile" (fun () -> Runner.workload_metrics p sys)
     in
@@ -353,7 +387,10 @@ let profile_cmd =
         if output <> "" && output.[String.length output - 1] <> '\n' then
           print_newline ();
         Printf.eprintf "%s\n" (Fmt.str "%a" summary ()));
-    if validate then validate_folded prof
+    if validate then begin
+      validate_folded prof;
+      validate_overhead p
+    end
   in
   Cmd.v
     (Cmd.info "profile"
@@ -714,18 +751,12 @@ let sched_cmd =
                                             each configuration.")
   in
   let run arch cores smt tenants vcpus horizon_ms quantum_us configs verbose =
-    let configs =
-      if configs <> [] then configs
-      else
-        [
-          (Mode.Baseline, Policy.default);
-          (Mode.sw_svt_default, Policy.Dedicated_sibling);
-          (Mode.sw_svt_default, Policy.On_demand_donation);
-          (Mode.sw_svt_default, Policy.Shared_pool { threads = 2 });
-          (Mode.Hw_svt, Policy.default);
-          (Mode.Ooh, Policy.default);
-        ]
-    in
+    List.iter
+      (fun (flag, v) ->
+        if v < 1 then die ~code:2 "sched" "--%s %d must be >= 1" flag v)
+      [ ("cores", cores); ("smt", smt); ("tenants", tenants); ("vcpus", vcpus);
+        ("horizon-ms", horizon_ms); ("quantum-us", quantum_us) ];
+    let configs = if configs <> [] then configs else Policy.default_configs in
     let horizon = Time.of_ms horizon_ms in
     Printf.printf
       "consolidating %d tenants x %d vCPU(s) on %d cores x %d SMT \
@@ -736,14 +767,7 @@ let sched_cmd =
     let failures = ref 0 in
     List.iter
       (fun (mode, policy) ->
-        let label =
-          (* the policy only means something for SW SVt stacks *)
-          match mode with
-          | Mode.Sw_svt _ ->
-              Printf.sprintf "%s/%s" (Mode.to_string mode)
-                (Svt_sched.Policy.name policy)
-          | _ -> Mode.to_string mode
-        in
+        let label = Policy.config_label mode policy in
         let topology =
           Topology.create ~sockets:1 ~cores_per_socket:cores
             ~smt_per_core:smt ()
@@ -875,6 +899,9 @@ let cluster_cmd =
   in
   let run arch hosts cores smt tenants vcpus mode policy fault seed
       horizon_ms strategy overcommit quota out =
+    if tenants < 0 then die ~code:2 "cluster" "--tenants %d must be >= 0" tenants;
+    if horizon_ms < 1 then
+      die ~code:2 "cluster" "--horizon-ms %d must be >= 1" horizon_ms;
     let plan =
       match Svt_fault.Cluster_plan.of_string fault with
       | Ok p -> p

@@ -70,16 +70,17 @@ let default_config =
   }
 
 let validate_config c =
-  if c.n_hosts < 1 then Error (Printf.sprintf "n_hosts %d must be >= 1" c.n_hosts)
+  let below_one field v = Error (Printf.sprintf "%s %d must be >= 1" field v) in
+  if c.n_hosts < 1 then below_one "n_hosts" c.n_hosts
+  else if c.sockets < 1 then below_one "sockets" c.sockets
+  else if c.cores_per_socket < 1 then below_one "cores_per_socket" c.cores_per_socket
+  else if c.smt_per_core < 1 then below_one "smt_per_core" c.smt_per_core
   else if Time.(c.epoch < c.quantum) then
     Error "epoch must be at least one quantum"
   else if c.quarantine_failures < 1 then
-    Error
-      (Printf.sprintf "quarantine_failures %d must be >= 1"
-         c.quarantine_failures)
+    below_one "quarantine_failures" c.quarantine_failures
   else if c.quarantine_window < 1 then
-    Error
-      (Printf.sprintf "quarantine_window %d must be >= 1" c.quarantine_window)
+    below_one "quarantine_window" c.quarantine_window
   else
     Result.map (fun _ -> c) (Admission.validate_config c.admission)
 

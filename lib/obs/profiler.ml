@@ -21,9 +21,11 @@
    per-vCPU root once the pending list outgrows its cap, and at [stop].
 
    Allocation is charged per segment from the minor-allocation counter
-   (the cheap, monotonic part of [Gc.quick_stat]); whole-run totals
-   including major-heap words come from full [Gc.quick_stat] deltas at
-   [start]/[stop]. *)
+   ([Gc.minor_words], cheap and exact); whole-run totals including
+   major-heap words come from [Gc.counters] deltas at [start]/[stop],
+   each read after emptying the minor heap: until a minor collection
+   the counters lag the words actually allocated, so an unflushed delta
+   depends on how full the heap was when the region opened. *)
 
 module Simulator = Svt_engine.Simulator
 
@@ -65,8 +67,8 @@ type t = {
   mutable seg_words : float;
   mutable t_start : float;
   mutable t_stop : float;
-  mutable gc_start : Gc.stat option;
-  mutable alloc_words : float; (* quick_stat delta, set at stop *)
+  mutable start_words : float; (* [allocated_words] at start *)
+  mutable alloc_words : float; (* the delta, set at stop *)
   mutable spans : int;
   mutable events : int;
 }
@@ -78,6 +80,12 @@ let max_pending = 64
 
 let default_clock = Unix.gettimeofday
 let default_words () = Gc.minor_words ()
+
+(* minor + major - promoted words so far, exact (see the header) *)
+let allocated_words () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
 
 let create ?(clock = default_clock) ?(words = default_words) () =
   let t =
@@ -91,7 +99,7 @@ let create ?(clock = default_clock) ?(words = default_words) () =
       running = false; in_event = false;
       seg_clock = 0.0; seg_words = 0.0;
       t_start = 0.0; t_stop = 0.0;
-      gc_start = None; alloc_words = 0.0;
+      start_words = 0.0; alloc_words = 0.0;
       spans = 0; events = 0;
     }
   in
@@ -204,7 +212,7 @@ let observer t =
   }
 
 let start t =
-  t.gc_start <- Some (Gc.quick_stat ());
+  t.start_words <- allocated_words ();
   t.t_start <- t.clock ();
   t.seg_clock <- t.t_start;
   t.seg_words <- t.words ();
@@ -215,14 +223,7 @@ let stop t =
     segment t t.engine_other;
     t.running <- false;
     t.t_stop <- t.seg_clock;
-    (match t.gc_start with
-    | Some g0 ->
-        let g1 = Gc.quick_stat () in
-        t.alloc_words <-
-          g1.Gc.minor_words -. g0.Gc.minor_words
-          +. (g1.Gc.major_words -. g0.Gc.major_words)
-          -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
-    | None -> ());
+    t.alloc_words <- allocated_words () -. t.start_words;
     Hashtbl.iter
       (fun vcpu lst ->
         List.iter (fun p -> fold_root t vcpu p) !lst;

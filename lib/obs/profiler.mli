@@ -38,7 +38,7 @@ val observer : t -> Svt_engine.Simulator.observer
 
 val start : t -> unit
 (** Open the profiled region: resets the segment clock and records the
-    [Gc.quick_stat] baseline. *)
+    allocation baseline (after a minor collection). *)
 
 val stop : t -> unit
 (** Close the region: charges the trailing segment, folds still-open
@@ -60,7 +60,8 @@ val events : t -> int
 
 val allocated_bytes : t -> float
 (** Whole-region allocation (minor + major - promoted words, from
-    [Gc.quick_stat] deltas at start/stop), in bytes. *)
+    [Gc.counters] deltas at start/stop, each after a minor collection so
+    the count is exact), in bytes. *)
 
 (** {2 Output} *)
 

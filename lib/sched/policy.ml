@@ -19,6 +19,22 @@ let default = Mode.default_svt_policy
 let name = Mode.svt_policy_name
 let of_string = Mode.svt_policy_of_string
 
+(* The policy only means something for SW SVt stacks. *)
+let config_label (mode : Mode.t) p =
+  match mode with
+  | Mode.Sw_svt _ -> Printf.sprintf "%s/%s" (Mode.to_string mode) (name p)
+  | _ -> Mode.to_string mode
+
+let default_configs =
+  [
+    (Mode.Baseline, default);
+    (Mode.sw_svt_default, Dedicated_sibling);
+    (Mode.sw_svt_default, On_demand_donation);
+    (Mode.sw_svt_default, Shared_pool { threads = 2 });
+    (Mode.Hw_svt, default);
+    (Mode.Ooh, default);
+  ]
+
 type claim = {
   threads_per_vcpu : int;
   whole_core : bool;

@@ -11,6 +11,15 @@ val default : t
 val name : t -> string
 val of_string : string -> (t, string) result
 
+val config_label : Svt_core.Mode.t -> t -> string
+(** A host configuration's row label: "mode/policy" for SW SVt, the bare
+    mode otherwise. *)
+
+val default_configs : (Svt_core.Mode.t * t) list
+(** The whole-host consolidation comparison: baseline, SW SVt under each
+    policy (dedicated sibling, on-demand donation, a 2-thread shared
+    pool), HW SVt and OoH. *)
+
 (** What one tenant's vCPU gang occupies under a (mode, policy) pair. *)
 type claim = {
   threads_per_vcpu : int;  (** hardware threads pinned per vCPU *)

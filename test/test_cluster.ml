@@ -85,6 +85,23 @@ let test_split_combined () =
     | Ok _ -> false
     | Error _ -> true)
 
+(* --- fleet configuration ------------------------------------------------- *)
+
+let test_config_validation () =
+  let d = Cluster.default_config in
+  let rejected c =
+    match Cluster.validate_config c with Ok _ -> false | Error _ -> true
+  in
+  checkb "default accepted" false (rejected d);
+  checkb "no hosts rejected" true (rejected { d with Cluster.n_hosts = 0 });
+  checkb "no sockets rejected" true (rejected { d with Cluster.sockets = 0 });
+  checkb "no cores rejected" true
+    (rejected { d with Cluster.cores_per_socket = 0 });
+  checkb "no SMT threads rejected" true
+    (rejected { d with Cluster.smt_per_core = -1 });
+  checkb "epoch below a quantum rejected" true
+    (rejected { d with Cluster.epoch = Time.of_us 10 })
+
 (* --- pure admission rules ------------------------------------------------ *)
 
 let view id committed capacity = { Admission.id; committed; capacity }
@@ -435,6 +452,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_plan_round_trip;
           Alcotest.test_case "combined split" `Quick test_split_combined;
         ] );
+      ( "config",
+        [ Alcotest.test_case "validation" `Quick test_config_validation ] );
       ( "admission",
         [
           Alcotest.test_case "fits and pick" `Quick test_admission_pick;

@@ -294,7 +294,7 @@ let test_coverage_attaches_to_probe () =
 
 let point = Spec.point ~workload:"cpuid" Mode.Baseline
 
-let run_with prepare =
+let run_with ?(point = point) prepare =
   let sys = Runner.make_system point in
   prepare sys;
   let t0 = Unix.gettimeofday () in
@@ -482,54 +482,73 @@ let test_profiler_engine_buckets () =
   checkf "other bucket" 1_000.0 (find_row prof "engine;other").Profiler.excl_ns;
   checkf "telescopes" (Profiler.wall_s prof) (Profiler.exclusive_total_s prof)
 
-let test_profiler_does_not_perturb () =
-  let bare, _ = run_with (fun _ -> ()) in
-  let prof = Profiler.create () in
-  let observed, _ =
-    run_with (fun sys ->
-        Probe.subscribe (System.probe sys) (Profiler.sink prof);
-        Simulator.set_observer (System.sim sys)
-          (Some (Profiler.observer prof));
-        Profiler.start prof)
-  in
-  Profiler.stop prof;
-  checki "same metric count" (List.length bare) (List.length observed);
-  List.iter2
-    (fun (k, v) (k', v') ->
-      Alcotest.(check string) "metric name" k k';
-      checkb (k ^ " bit-identical under profiler") true (Float.equal v v'))
-    bare observed;
-  checkb "profiler saw spans" true (Profiler.spans prof > 0);
-  checkb "profiler saw events" true (Profiler.events prof > 0);
-  (* the --validate invariant, on a real run *)
-  let wall = Profiler.wall_s prof in
-  let drift = abs_float (Profiler.exclusive_total_s prof -. wall) /. wall in
-  checkb
-    (Printf.sprintf "exclusive sum within 5%% of wall (drift %.4f)" drift)
-    true (drift <= 0.05)
+(* On a real run, per point: the armed profiler leaves every metric
+   bit-identical, telescopes to the wall time (the --validate invariant)
+   and allocates at most [profiler_alloc_ceiling] bytes per event. The
+   allocation is deterministic: 1,952 B/event on the nested baseline
+   cpuid point and 2,447 on the nested SW SVt one, so the ceiling fails a
+   change that adds about 2 KB per event. *)
+let profiler_alloc_ceiling = 4420.0
 
-(* Active-sink allocation budget (Gc.quick_stat deltas): with a counting
-   sink subscribed the probe must build real spans, but the per-span
-   construction cost has a hard ceiling. The workload is deterministic,
-   and so is its allocation — only the sink delta is under test. The
-   budget is the checked-in guard: ~5.2 KB/span today (span record plus
-   the instrumentation sites' tag formatting, which only runs when a
-   sink is armed), failing if a change makes arming a sink more than
-   ~1.5x costlier per span. *)
-let alloc_budget_bytes_per_span = 8192.0
+let test_profiler_does_not_perturb () =
+  List.iter
+    (fun point ->
+      let bare, _ = run_with ~point (fun _ -> ()) in
+      let prof = Profiler.create () in
+      let observed, _ =
+        run_with ~point (fun sys ->
+            Probe.subscribe (System.probe sys) (Profiler.sink prof);
+            Simulator.set_observer (System.sim sys)
+              (Some (Profiler.observer prof));
+            Profiler.start prof)
+      in
+      Profiler.stop prof;
+      checki "same metric count" (List.length bare) (List.length observed);
+      List.iter2
+        (fun (k, v) (k', v') ->
+          Alcotest.(check string) "metric name" k k';
+          checkb (k ^ " bit-identical under profiler") true (Float.equal v v'))
+        bare observed;
+      checkb "profiler saw spans" true (Profiler.spans prof > 0);
+      checkb "profiler saw events" true (Profiler.events prof > 0);
+      let wall = Profiler.wall_s prof in
+      let drift = abs_float (Profiler.exclusive_total_s prof -. wall) /. wall in
+      checkb
+        (Printf.sprintf "exclusive sum within 5%% of wall (drift %.4f)" drift)
+        true (drift <= 0.05);
+      let per_event =
+        Profiler.allocated_bytes prof /. float_of_int (Profiler.events prof)
+      in
+      checkb
+        (Printf.sprintf "%s: armed profiler allocates %.0f B/event (ceiling %.0f)"
+           (Spec.canonical_key point) per_event profiler_alloc_ceiling)
+        true
+        (per_event <= profiler_alloc_ceiling))
+    [ point; Spec.point ~workload:"cpuid" Mode.sw_svt_default ]
+
+(* Active-sink allocation budget (exact Gc.counters deltas): with a
+   counting sink subscribed the probe must build real spans, but the
+   per-span construction cost has a hard ceiling. The workload is
+   deterministic, and so is its allocation — only the sink delta is
+   under test. The budget is the checked-in guard: 234 B/span today
+   (span record plus the instrumentation sites' tag formatting, which
+   only runs when a sink is armed), failing if a change makes arming a
+   sink more than 1.5x costlier per span. *)
+let alloc_budget_bytes_per_span = 351.0
 
 let test_counting_sink_alloc_budget () =
   let alloc_of prepare =
     let sys = Runner.make_system point in
     let counted = prepare sys in
-    let g0 = Gc.quick_stat () in
-    ignore (Runner.workload_metrics point sys : (string * float) list);
-    let g1 = Gc.quick_stat () in
-    let words =
-      g1.Gc.minor_words -. g0.Gc.minor_words
-      +. (g1.Gc.major_words -. g0.Gc.major_words)
-      -. (g1.Gc.promoted_words -. g0.Gc.promoted_words)
+    (* counters lag until a minor collection: flush so the delta is exact *)
+    let words () =
+      Gc.minor ();
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
     in
+    let w0 = words () in
+    ignore (Runner.workload_metrics point sys : (string * float) list);
+    let words = words () -. w0 in
     (words *. float_of_int (Sys.word_size / 8), counted)
   in
   ignore (alloc_of (fun _ -> ref 0)) (* warm-up *);
