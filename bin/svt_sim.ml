@@ -310,7 +310,8 @@ let profile_cmd =
   let arm sys =
     let prof = Profiler.create () in
     Probe.subscribe (System.probe sys) (Profiler.sink prof);
-    Simulator.set_observer (System.sim sys) (Some (Profiler.observer prof));
+    let sim = System.sim sys in
+    Simulator.set_observer sim (Some (Profiler.observer prof sim));
     Profiler.start prof;
     prof
   in
@@ -900,6 +901,7 @@ let cluster_cmd =
   let run arch hosts cores smt tenants vcpus mode policy fault seed
       horizon_ms strategy overcommit quota out =
     if tenants < 0 then die ~code:2 "cluster" "--tenants %d must be >= 0" tenants;
+    if vcpus < 1 then die ~code:2 "cluster" "--vcpus %d must be >= 1" vcpus;
     if horizon_ms < 1 then
       die ~code:2 "cluster" "--horizon-ms %d must be >= 1" horizon_ms;
     let plan =

@@ -90,38 +90,43 @@ let cancel q e =
 
 let is_cancelled e = e.cancelled
 
-let pop_raw q =
-  if q.size = 0 then None
-  else begin
-    let e = q.heap.(0) in
-    q.size <- q.size - 1;
-    q.heap.(0) <- q.heap.(q.size);
-    q.heap.(q.size) <- dummy_entry;
-    if q.size > 0 then sift_down q 0;
-    Some e
+(* Drop the root of a non-empty heap. *)
+let remove_top q =
+  q.size <- q.size - 1;
+  q.heap.(0) <- q.heap.(q.size);
+  q.heap.(q.size) <- dummy_entry;
+  if q.size > 0 then sift_down q 0
+
+(* Discard cancelled entries at the root, so the root (if any) is live. *)
+let rec skip_cancelled q =
+  if q.size > 0 && q.heap.(0).cancelled then begin
+    remove_top q;
+    skip_cancelled q
   end
 
 (* Pop the next non-cancelled event, discarding cancelled ones. A popped
    entry is marked cancelled so that a later [cancel] on its handle — a
    watchdog calling [cancel] on a deadline that already fired — is a
    no-op instead of corrupting the live count. *)
-let rec pop q =
-  match pop_raw q with
-  | None -> None
-  | Some e when e.cancelled -> pop q
-  | Some e ->
-      e.cancelled <- true;
-      q.live <- q.live - 1;
-      q.pops <- q.pops + 1;
-      Some (e.time, e.run)
-
-let rec peek_time q =
+let pop q =
+  skip_cancelled q;
   if q.size = 0 then None
-  else if q.heap.(0).cancelled then begin
-    ignore (pop_raw q);
-    peek_time q
+  else begin
+    let e = q.heap.(0) in
+    remove_top q;
+    e.cancelled <- true;
+    q.live <- q.live - 1;
+    q.pops <- q.pops + 1;
+    Some (e.time, e.run)
   end
-  else Some q.heap.(0).time
+
+let min_time q =
+  skip_cancelled q;
+  if q.size = 0 then max_int else q.heap.(0).time
+
+let peek_time q =
+  skip_cancelled q;
+  if q.size = 0 then None else Some q.heap.(0).time
 
 let is_empty q = q.live = 0
 let length q = q.live

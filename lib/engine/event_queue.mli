@@ -32,6 +32,10 @@ val pop : t -> (Time.t * (unit -> unit)) option
 val peek_time : t -> Time.t option
 (** Time of the earliest live event without removing it. *)
 
+val min_time : t -> Time.t
+(** Like {!peek_time} without allocating: [max_int] when no live event
+    is pending. *)
+
 val is_empty : t -> bool
 
 val length : t -> int

@@ -3,10 +3,19 @@
    Processes are ordinary OCaml functions executed under an effect handler
    (OCaml 5 one-shot continuations). A process interacts with virtual time
    only through the [Proc] operations below: [delay] advances its own clock
-   by suspending until the event queue reaches the target instant, and
-   [suspend] parks the process until some other party calls the provided
-   resume function. Only one process runs at a time and control transfers
-   happen exclusively at these points, so simulations are deterministic. *)
+   to a target instant, and [suspend] parks the process until some other
+   party calls the provided resume function. Only one process runs at a
+   time and control transfers happen exclusively at these points, so
+   simulations are deterministic.
+
+   A delay wakes the process at [now + span] as an event of its own. When
+   nothing else is due at or before that instant and no bound of the run
+   would stop it first, that event is the next one the loop would process,
+   so [delay] retires it in place: it advances the clock and the event
+   count and returns, with no effect, continuation or queue entry (the
+   run-ahead path). Virtual time, event order and the event count are
+   the same as on the queue path; only the queue's own op counters
+   differ. *)
 
 (* Host-side dispatch hooks for the self-profiler: called around every
    event callback when installed. Observers must not touch virtual time
@@ -24,9 +33,21 @@ type t = {
   mutable error : exn option;
   mutable events_processed : int;
   mutable spawned : int;
-  mutable budget_events : int option;
-  mutable budget_time : Time.t option;
+  (* set_budget fuel; [max_int] when unlimited *)
+  mutable budget_events : int;
+  mutable budget_time : Time.t;
   mutable observer : observer option;
+  (* Bounds of the innermost active [run]: the last instant it processes
+     and the event count at which it stops. Outside any run [run_until]
+     precedes every instant, so no process runs ahead there. *)
+  mutable run_until : Time.t;
+  mutable run_events : int;
+  (* Process activations of this simulator on the host stack, and the
+     depth of the one that is the last act of the current event, if any
+     (-1 otherwise). Only that activation may run ahead: code below it on
+     the stack resumes at the event's instant when it returns. *)
+  mutable depth : int;
+  mutable tail_depth : int;
 }
 
 type sim = t
@@ -53,6 +74,8 @@ let () =
              events (Time.to_string now))
     | _ -> None)
 
+(* [E_now] and [E_sim] have no handler: [Proc] performs them only outside
+   any process, where they raise [Effect.Unhandled]. *)
 type _ Effect.t +=
   | E_now : Time.t Effect.t
   | E_delay : Time.t -> unit Effect.t
@@ -61,8 +84,15 @@ type _ Effect.t +=
 
 let create () =
   { now = Time.zero; queue = Event_queue.create (); error = None;
-    events_processed = 0; spawned = 0; budget_events = None;
-    budget_time = None; observer = None }
+    events_processed = 0; spawned = 0; budget_events = max_int;
+    budget_time = max_int; observer = None; run_until = min_int;
+    run_events = 0; depth = 0; tail_depth = -1 }
+
+(* The simulator whose process is running on this domain, or [no_sim].
+   Set on entry to every process activation and restored on its exit;
+   domains run disjoint simulators, each with its own slot. *)
+let no_sim = create ()
+let current = Domain.DLS.new_key (fun () -> no_sim)
 
 let now t = t.now
 let set_observer t ob = t.observer <- ob
@@ -72,10 +102,12 @@ let set_budget ?max_events ?max_time t =
   (match max_events with
   | Some n when n < 1 -> invalid_arg "Simulator.set_budget: max_events < 1"
   | _ -> ());
-  t.budget_events <- max_events;
-  t.budget_time <- max_time
+  t.budget_events <- Option.value max_events ~default:max_int;
+  t.budget_time <- Option.value max_time ~default:max_int
 
-let budget t = (t.budget_events, t.budget_time)
+let budget t =
+  let limit v = if v = max_int then None else Some v in
+  (limit t.budget_events, limit t.budget_time)
 
 let schedule t ~after run =
   if after < 0 then invalid_arg "Simulator.schedule: negative delay";
@@ -87,37 +119,57 @@ let schedule_at t ~time run =
 
 let cancel t h = Event_queue.cancel t.queue h
 
+(* Run [f a b] as a process activation of [t]. *)
+let enter t f a b =
+  let outer = Domain.DLS.get current in
+  Domain.DLS.set current t;
+  t.depth <- t.depth + 1;
+  match f a b with
+  | () ->
+      t.depth <- t.depth - 1;
+      Domain.DLS.set current outer
+  | exception e ->
+      t.depth <- t.depth - 1;
+      Domain.DLS.set current outer;
+      raise e
+
+(* Mark the activation about to be entered as the last act of the
+   current event. The mark lasts until [step] ends the event and restores
+   the enclosing one; an activation that other code enters meanwhile
+   sits deeper on the stack and does not match it. *)
+let last_act t = t.tail_depth <- t.depth + 1
+
+(* Resume a suspended process as an event of its own. *)
+let wake t resume v =
+  ignore (schedule t ~after:Time.zero (fun () -> last_act t; resume v))
+
 let spawn t ?(name = "proc") f =
   t.spawned <- t.spawned + 1;
-  let body () =
-    Effect.Deep.match_with f ()
-      {
-        retc = (fun () -> ());
-        exnc =
-          (fun e ->
-            if t.error = None then
-              t.error <- Some (Failure (Printf.sprintf
-                "process %S raised: %s" name (Printexc.to_string e))));
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | E_now ->
-                Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    Effect.Deep.continue k t.now)
-            | E_delay span ->
-                Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    ignore (schedule t ~after:span (fun () ->
-                        Effect.Deep.continue k ())))
-            | E_suspend register ->
-                Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    register (fun v -> Effect.Deep.continue k v))
-            | E_sim ->
-                Some (fun (k : (a, _) Effect.Deep.continuation) ->
-                    Effect.Deep.continue k t)
-            | _ -> None);
-      }
+  let handler =
+    {
+      Effect.Deep.retc = (fun () -> ());
+      exnc =
+        (fun e ->
+          if t.error = None then
+            t.error <- Some (Failure (Printf.sprintf
+              "process %S raised: %s" name (Printexc.to_string e))));
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | E_delay span ->
+              Some (fun (k : (a, _) Effect.Deep.continuation) ->
+                  ignore (schedule t ~after:span (fun () ->
+                      last_act t;
+                      enter t Effect.Deep.continue k ())))
+          | E_suspend register ->
+              Some (fun (k : (a, _) Effect.Deep.continuation) ->
+                  register (fun v -> enter t Effect.Deep.continue k v))
+          | _ -> None);
+    }
   in
-  ignore (schedule t ~after:Time.zero body)
+  ignore (schedule t ~after:Time.zero (fun () ->
+      last_act t;
+      enter t (fun f h -> Effect.Deep.match_with f () h) f handler))
 
 let default_max_events = 200_000_000
 
@@ -125,20 +177,27 @@ let default_max_events = 200_000_000
    holds the event that would overrun, so a handler catching the
    exception sees a consistent (merely truncated) simulation. *)
 let check_budget t =
-  (match t.budget_events with
-  | Some limit
-    when t.events_processed >= limit && not (Event_queue.is_empty t.queue) ->
-      raise
-        (Budget_exhausted
-           { events = t.events_processed; now = t.now; fuel = Fuel_events limit })
-  | _ -> ());
-  match (t.budget_time, Event_queue.peek_time t.queue) with
-  | Some limit, Some next when Time.(limit < next) ->
-      raise
-        (Budget_exhausted
-           { events = t.events_processed; now = t.now; fuel = Fuel_time limit })
-  | _ -> ()
+  let pending = not (Event_queue.is_empty t.queue) in
+  if pending && t.events_processed >= t.budget_events then
+    raise
+      (Budget_exhausted
+         { events = t.events_processed; now = t.now;
+           fuel = Fuel_events t.budget_events });
+  if pending && Time.(t.budget_time < Event_queue.min_time t.queue) then
+    raise
+      (Budget_exhausted
+         { events = t.events_processed; now = t.now;
+           fuel = Fuel_time t.budget_time })
 
+(* Close an event: restore the enclosing event's last-act mark (a run
+   inside a process processes events within that process's event) and
+   fire the observer's end hook. *)
+let end_event t outer_tail =
+  t.tail_depth <- outer_tail;
+  match t.observer with Some ob -> ob.on_event_end () | None -> ()
+
+(* Process one event; [false] if the queue was empty. A process that
+   runs ahead retires further events inside this one. *)
 let step t =
   check_budget t;
   match Event_queue.pop t.queue with
@@ -146,38 +205,44 @@ let step t =
   | Some (time, run) ->
       t.now <- time;
       t.events_processed <- t.events_processed + 1;
-      (match t.observer with
-      | None -> run ()
-      | Some ob -> (
-          ob.on_event_start ();
-          (* the end hook fires even when the callback raises, so the
-             profiler's in-event segmentation cannot wedge open *)
-          match run () with
-          | () -> ob.on_event_end ()
-          | exception e ->
-              ob.on_event_end ();
-              raise e));
+      let outer_tail = t.tail_depth in
+      (match t.observer with Some ob -> ob.on_event_start () | None -> ());
+      (* the end hook fires even when the callback raises, so the
+         profiler's in-event segmentation cannot wedge open *)
+      (match run () with
+      | () -> end_event t outer_tail
+      | exception e ->
+          end_event t outer_tail;
+          raise e);
       (match t.error with Some e -> raise e | None -> ());
       true
 
 let run ?until ?(max_events = default_max_events) t =
-  let continue () =
-    (match until with
-    | Some limit -> (
-        match Event_queue.peek_time t.queue with
-        | Some next -> Time.(next <= limit)
-        | None -> false)
-    | None -> not (Event_queue.is_empty t.queue))
-  in
   let before = t.events_processed in
-  while continue () do
-    if t.events_processed - before >= max_events then
-      raise
-        (Budget_exhausted
-           { events = t.events_processed; now = t.now;
-             fuel = Fuel_events max_events });
-    ignore (step t)
-  done;
+  let outer_until = t.run_until and outer_events = t.run_events in
+  t.run_until <- Option.value until ~default:max_int;
+  t.run_events <-
+    (if max_events > max_int - before then max_int else before + max_events);
+  (match
+     while
+       (not (Event_queue.is_empty t.queue))
+       && Time.(Event_queue.min_time t.queue <= t.run_until)
+     do
+       if t.events_processed >= t.run_events then
+         raise
+           (Budget_exhausted
+              { events = t.events_processed; now = t.now;
+                fuel = Fuel_events max_events });
+       ignore (step t)
+     done
+   with
+  | () ->
+      t.run_until <- outer_until;
+      t.run_events <- outer_events
+  | exception e ->
+      t.run_until <- outer_until;
+      t.run_events <- outer_events;
+      raise e);
   match until with
   | Some limit when Time.(t.now < limit) && Event_queue.is_empty t.queue ->
       t.now <- limit
@@ -194,12 +259,35 @@ let pending_events t = Event_queue.length t.queue
 let next_event_time t = Event_queue.peek_time t.queue
 
 module Proc = struct
-  let now () = Effect.perform E_now
-  let sim () = Effect.perform E_sim
+  let now () =
+    let t = Domain.DLS.get current in
+    if t == no_sim then Effect.perform E_now else t.now
 
+  let sim () =
+    let t = Domain.DLS.get current in
+    if t == no_sim then Effect.perform E_sim else t
+
+  (* The run-ahead test. The wake event would be the next one processed
+     only if this activation is the last act of its event, no process
+     has failed, the run's [until] and both fuel kinds admit it, the run
+     and the fuel have an event left, and every pending event is strictly
+     later: one due at the same instant was queued first and runs first. *)
   let delay span =
     if span < 0 then invalid_arg "Proc.delay: negative span";
-    if span = 0 then () else Effect.perform (E_delay span)
+    if span > 0 then begin
+      let t = Domain.DLS.get current in
+      let wake = Time.add t.now span in
+      if t.depth = t.tail_depth && Option.is_none t.error
+         && Time.(wake <= t.run_until) && Time.(wake <= t.budget_time)
+         && t.events_processed < t.run_events
+         && t.events_processed < t.budget_events
+         && Time.(wake < Event_queue.min_time t.queue)
+      then begin
+        t.now <- wake;
+        t.events_processed <- t.events_processed + 1
+      end
+      else Effect.perform (E_delay span)
+    end
 
   let yield () = Effect.perform (E_delay Time.zero)
   let suspend register = Effect.perform (E_suspend register)
@@ -226,10 +314,7 @@ module Ivar = struct
     | Empty waiters ->
         iv.state <- Full v;
         (* Resume waiters at the current instant, in FIFO order. *)
-        List.iter
-          (fun resume -> ignore (schedule iv.sim ~after:Time.zero
-                                   (fun () -> resume v)))
-          (List.rev waiters)
+        List.iter (fun resume -> wake iv.sim resume v) (List.rev waiters)
 
   let is_filled iv = match iv.state with Full _ -> true | Empty _ -> false
   let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
@@ -257,9 +342,7 @@ module Signal = struct
   let broadcast s =
     let waiters = List.rev s.waiters in
     s.waiters <- [];
-    List.iter
-      (fun resume -> ignore (schedule s.sim ~after:Time.zero resume))
-      waiters
+    List.iter (fun resume -> wake s.sim resume ()) waiters
 
   let has_waiters s = s.waiters <> []
 
@@ -291,6 +374,7 @@ module Signal = struct
           schedule s.sim ~after:span (fun () ->
               if not !settled then begin
                 settled := true;
+                last_act s.sim;
                 resume `Timeout
               end)
         in
@@ -324,7 +408,7 @@ module Mailbox = struct
     match mb.readers with
     | resume :: rest ->
         mb.readers <- rest;
-        ignore (schedule mb.sim ~after:Time.zero (fun () -> resume v))
+        wake mb.sim resume v
     | [] -> Queue.push v mb.items
 
   let recv mb =

@@ -18,14 +18,17 @@ exception Deadlock of string
 type fuel = Fuel_events of int | Fuel_time of Time.t
 
 exception Budget_exhausted of { events : int; now : Time.t; fuel : fuel }
-(** Raised from {!step}/{!run} when the simulation exceeds the budget set
+(** Raised from {!run} when the simulation exceeds the budget set
     with {!set_budget} (or [run]'s [max_events]). Deterministic: depends
     only on the event stream, never on the host clock, so a runaway run
     is cut at the same virtual instant on every machine. The payload is
     the run's fuel counters at the point of exhaustion. *)
 
 (** Host-side dispatch hooks, called around every event callback while
-    installed. Observers run on the host only: they must not schedule,
+    installed. A delay retired in place by a process running ahead
+    (see {!Proc.delay}) has no callback of its own: it counts in
+    {!events_processed} and its host time falls inside the enclosing
+    callback. Observers run on the host only: they must not schedule,
     cancel, or advance virtual time, so installing one can never change
     simulation results. Used by the self-profiler to segment host
     wall-clock and allocation between in-event work and engine
@@ -45,7 +48,9 @@ val set_observer : t -> observer option -> unit
 val queue_stats : t -> Event_queue.stats
 (** Lifetime op counters of the event queue (adds / pops / cancels /
     peak live size). Deterministic: a pure function of the event
-    stream. *)
+    stream. Delays retired in place by a process running ahead (see
+    {!Proc.delay}) never touch the queue, so these count fewer
+    operations than {!events_processed}. *)
 
 val set_budget : ?max_events:int -> ?max_time:Time.t -> t -> unit
 (** Install a run budget: processing more than [max_events] events, or
@@ -66,18 +71,13 @@ val cancel : t -> Event_queue.handle -> unit
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** Start a process at the current instant. An exception escaping a process
-    aborts the whole run (re-raised from {!run}/{!step}, tagged with
-    [name]). *)
+    aborts the whole run (re-raised from {!run}, tagged with [name]). *)
 
 val run : ?until:Time.t -> ?max_events:int -> t -> unit
 (** Process events until the queue drains, [until] is passed, or
     [max_events] events have been processed by this call (which raises
     {!Budget_exhausted}, as a runaway guard). When [until] is given and
     the queue drains early, the clock still advances to [until]. *)
-
-val step : t -> bool
-(** Process one event; [false] if the queue was empty. Raises
-    {!Budget_exhausted} if the {!set_budget} fuel is spent. *)
 
 val events_processed : t -> int
 val processes_spawned : t -> int
@@ -94,9 +94,18 @@ val next_event_time : t -> Time.t option
 module Proc : sig
   val now : unit -> Time.t
   val sim : unit -> sim
+  (** The running process's clock and simulator. Outside any process,
+      [now], [sim] and [delay] raise [Effect.Unhandled]. *)
 
   val delay : Time.t -> unit
-  (** Advance this process's clock by a span, letting other events run. *)
+  (** Advance this process's clock by a span, letting other events run.
+      The wake-up is one event. When no other event is due at or before
+      the wake instant and no bound of the run (its [until] or
+      [max_events], the {!set_budget} fuel, a failed process) would stop
+      before it, the process runs ahead: the clock and the event count
+      advance in place with no queue traffic, which is indistinguishable
+      from the queued path in virtual time, event counts and fuel cut
+      points. *)
 
   val yield : unit -> unit
   (** Let already-queued events at the current instant run first. *)

@@ -71,6 +71,7 @@ type t = {
   mutable alloc_words : float; (* the delta, set at stop *)
   mutable spans : int;
   mutable events : int;
+  mutable event_mark : int; (* simulator's event count before this event *)
 }
 
 (* Cap on closed spans waiting for a parent, per vCPU. Episodes are a
@@ -100,7 +101,7 @@ let create ?(clock = default_clock) ?(words = default_words) () =
       seg_clock = 0.0; seg_words = 0.0;
       t_start = 0.0; t_stop = 0.0;
       start_words = 0.0; alloc_words = 0.0;
-      spans = 0; events = 0;
+      spans = 0; events = 0; event_mark = 0;
     }
   in
   let engine = new_node () in
@@ -194,20 +195,24 @@ let sink t (sp : Span.t) =
     else lst := rest
   end
 
-let observer t =
+(* Events are counted from [sim]'s counter, not one per hook pair: a
+   process running ahead retires several events inside one callback. *)
+let observer t sim =
   {
     Simulator.on_event_start =
       (fun () ->
         if t.running then begin
           segment t t.engine_queue;
           t.in_event <- true;
-          t.events <- t.events + 1
+          (* the count before the event this hook opens *)
+          t.event_mark <- Simulator.events_processed sim - 1
         end);
     on_event_end =
       (fun () ->
         if t.running then begin
           segment t t.engine_dispatch;
-          t.in_event <- false
+          t.in_event <- false;
+          t.events <- t.events + Simulator.events_processed sim - t.event_mark
         end);
   }
 

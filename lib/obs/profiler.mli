@@ -32,9 +32,12 @@ val sink : t -> Span.t -> unit
 (** The span sink; pass to {!Probe.subscribe}. Ignores spans outside a
     {!start}/{!stop} bracket. *)
 
-val observer : t -> Svt_engine.Simulator.observer
-(** Dispatch hooks; pass to [Simulator.set_observer]. Segments engine
-    bookkeeping from in-event work and counts events. *)
+val observer : t -> Svt_engine.Simulator.t -> Svt_engine.Simulator.observer
+(** Dispatch hooks for the given simulator; pass to
+    [Simulator.set_observer] on it. Segments engine bookkeeping from
+    in-event work and counts every event the simulator retires inside a
+    dispatch, delays retired by a process running ahead included, so
+    {!events} equals the simulator's event-count delta over the region. *)
 
 val start : t -> unit
 (** Open the profiled region: resets the segment clock and records the

@@ -253,6 +253,49 @@ let test_sim_budget () =
   let a = exhaust () and b = exhaust () in
   checkb "deterministic exhaustion" true (a = b)
 
+(* Proc operations outside any process raise, also once a simulator has
+   run and left this domain's current-simulator slot. *)
+let test_proc_outside_process () =
+  let unhandled f =
+    match f () with () -> false | exception Effect.Unhandled _ -> true
+  in
+  let check_all when_ =
+    checkb ("delay " ^ when_) true (unhandled (fun () -> Proc.delay 5));
+    checkb ("now " ^ when_) true (unhandled (fun () -> ignore (Proc.now ())));
+    checkb ("sim " ^ when_) true (unhandled (fun () -> ignore (Proc.sim ())))
+  in
+  check_all "before any run";
+  let sim = Simulator.create () in
+  Simulator.spawn sim (fun () -> Proc.delay 10);
+  Simulator.run sim;
+  check_all "after a run"
+
+(* A run inside a process bounds the delays under it, and the enclosing
+   run's bounds hold again once it returns. *)
+let test_sim_nested_run_restores_bounds () =
+  let body log () =
+    Simulator.run (Proc.sim ());
+    for _ = 1 to 10 do
+      Proc.delay 10;
+      log := Proc.now () :: !log
+    done
+  in
+  let sim = Simulator.create () and log = ref [] in
+  Simulator.spawn sim (body log);
+  Simulator.run ~until:35 sim;
+  check Alcotest.(list int) "outer until after the inner run" [ 10; 20; 30 ]
+    (List.rev !log);
+  checki "clock at the last wake before it" 30 (Simulator.now sim);
+  checki "the wake past it is pending" 1 (Simulator.pending_events sim);
+  let sim = Simulator.create () in
+  Simulator.spawn sim (body (ref []));
+  match Simulator.run ~max_events:4 sim with
+  | () -> Alcotest.fail "outer max_events did not fire"
+  | exception Simulator.Budget_exhausted { events; now; fuel } ->
+      checki "events at the outer limit" 4 events;
+      checki "clock at the last retired wake" 30 now;
+      checkb "outer fuel" true (fuel = Simulator.Fuel_events 4)
+
 let test_sim_nested_spawn () =
   let sim = Simulator.create () in
   let hits = ref 0 in
@@ -521,6 +564,10 @@ let () =
           Alcotest.test_case "max_events guard" `Quick test_sim_max_events_guard;
           Alcotest.test_case "fuel budget" `Quick test_sim_budget;
           Alcotest.test_case "nested spawn" `Quick test_sim_nested_spawn;
+          Alcotest.test_case "proc ops outside a process" `Quick
+            test_proc_outside_process;
+          Alcotest.test_case "nested run restores bounds" `Quick
+            test_sim_nested_run_restores_bounds;
         ] );
       ( "sync",
         [

@@ -1,10 +1,11 @@
 (* Cross-cutting property tests on the protocol-critical data paths:
    channel command serialization, VMCS transform behaviour, the SMT-core
    state machine, virtqueue operation sequences, fabric ordering, guest
-   memory copies and EPT updates. *)
+   memory copies, EPT updates and the engine's run-ahead delay. *)
 
 module Time = Svt_engine.Time
 module Simulator = Svt_engine.Simulator
+module Proc = Simulator.Proc
 module Mode = Svt_core.Mode
 module Channel = Svt_core.Channel
 module Breakdown = Svt_hyp.Breakdown
@@ -425,6 +426,240 @@ let prop_ept_matches_model =
       && Ept.mapped_pages by_page = present
       && List.for_all page_agrees (low_pages @ high_pages))
 
+(* ---- engine run-ahead: Proc.delay against a queued reference ---------
+
+   [Proc.delay] retires a wake-up in place when nothing else is due first
+   and no bound of the run would stop before it. The reference below is
+   the queued semantics built from public API: suspend, and resume from a
+   callback scheduled [span] later. Random multi-process programs must
+   give the same (time, process, step) trace, event count, clock, pending
+   count and outcome (a [Budget_exhausted] payload included) under both,
+   whatever bounds drive them. *)
+
+type sim_op =
+  | Delay of int
+  | Yield
+  | Wait of int
+  | Wait_timeout of int * int
+  | Broadcast of int
+  | Read of int
+  | Fill of int
+  | Send of int
+  | Recv of int
+  | Park (* suspend until some party unparks this process *)
+  | Unpark (* resume the oldest parked process synchronously *)
+  | Timer of int (* a callback [n] later that unparks every parked process *)
+  | Cancel (* cancel the latest timer *)
+  | Spawn_child
+  | Nested of int (* run a fresh simulator inside this process *)
+  | Inner_run of int option (* run this simulator inside this process *)
+  | Park_fail (* park, then raise once unparked *)
+
+type drive = Plain | Until of int | Max_events of int
+type fuel_plan = No_fuel | Event_fuel of int | Time_fuel of int
+
+type sim_case = {
+  procs : sim_op list list;
+  fuel : fuel_plan;
+  drives : drive list;
+}
+
+let show_sim_op = function
+  | Delay n -> Printf.sprintf "delay %d" n
+  | Yield -> "yield"
+  | Wait i -> Printf.sprintf "wait s%d" i
+  | Wait_timeout (i, n) -> Printf.sprintf "wait s%d timeout %d" i n
+  | Broadcast i -> Printf.sprintf "broadcast s%d" i
+  | Read i -> Printf.sprintf "read iv%d" i
+  | Fill i -> Printf.sprintf "fill iv%d" i
+  | Send i -> Printf.sprintf "send mb%d" i
+  | Recv i -> Printf.sprintf "recv mb%d" i
+  | Park -> "park"
+  | Unpark -> "unpark"
+  | Timer n -> Printf.sprintf "timer %d" n
+  | Cancel -> "cancel"
+  | Spawn_child -> "spawn"
+  | Nested n -> Printf.sprintf "nested %d" n
+  | Inner_run None -> "inner run"
+  | Inner_run (Some n) -> Printf.sprintf "inner run ~until:+%d" n
+  | Park_fail -> "park, then fail"
+
+let show_sim_case c =
+  let drive = function
+    | Plain -> "run"
+    | Until u -> Printf.sprintf "run ~until:%d" u
+    | Max_events m -> Printf.sprintf "run ~max_events:%d" m
+  in
+  let fuel = function
+    | No_fuel -> "no fuel"
+    | Event_fuel m -> Printf.sprintf "fuel %d events" m
+    | Time_fuel t -> Printf.sprintf "fuel until %d" t
+  in
+  Printf.sprintf "%s; %s\n%s" (fuel c.fuel)
+    (String.concat ", " (List.map drive c.drives))
+    (String.concat "\n"
+       (List.mapi
+          (fun i ops ->
+            Printf.sprintf "p%d: %s" i
+              (String.concat "; " (List.map show_sim_op ops)))
+          c.procs))
+
+let sim_case_gen =
+  let open QCheck.Gen in
+  let idx = int_bound 1 and span = int_bound 6 in
+  let op =
+    frequency
+      [
+        (12, map (fun n -> Delay n) span);
+        (2, return Yield);
+        (1, map (fun i -> Wait i) idx);
+        (2, map2 (fun i n -> Wait_timeout (i, n)) idx span);
+        (2, map (fun i -> Broadcast i) idx);
+        (1, map (fun i -> Read i) idx);
+        (1, map (fun i -> Fill i) idx);
+        (1, map (fun i -> Send i) idx);
+        (1, map (fun i -> Recv i) idx);
+        (2, return Park);
+        (1, return Unpark);
+        (2, map (fun n -> Timer n) (int_bound 8));
+        (1, return Cancel);
+        (1, return Spawn_child);
+        (1, map (fun n -> Nested n) (int_range 1 3));
+        (2, map (fun n -> Inner_run n) (opt ~ratio:0.5 (int_bound 8)));
+        (1, return Park_fail);
+      ]
+  in
+  let drive =
+    frequency
+      [
+        (2, return Plain);
+        (3, map (fun u -> Until u) (int_bound 40));
+        (2, map (fun m -> Max_events m) (int_range 1 40));
+      ]
+  in
+  let fuel =
+    frequency
+      [
+        (2, return No_fuel);
+        (1, map (fun m -> Event_fuel m) (int_range 1 30));
+        (1, map (fun t -> Time_fuel t) (int_bound 40));
+      ]
+  in
+  map3
+    (fun procs fuel drives -> { procs; fuel; drives })
+    (list_size (int_range 1 4) (list_size (int_bound 12) op))
+    fuel
+    (list_size (int_range 1 3) drive)
+
+(* Run a case with the given delay; return everything observable. *)
+let run_sim_case ~delay c =
+  let sim = Simulator.create () in
+  let trace = ref [] in
+  let record pid step = trace := (Proc.now (), pid, step) :: !trace in
+  let signals = Array.init 2 (fun _ -> Simulator.Signal.create sim) in
+  let ivars = Array.init 2 (fun _ -> Simulator.Ivar.create sim) in
+  let boxes = Array.init 2 (fun _ -> Simulator.Mailbox.create sim) in
+  let parked = Queue.create () in
+  let timers = ref [] in
+  let unpark () =
+    if not (Queue.is_empty parked) then (Queue.pop parked) ()
+  in
+  let exec pid step = function
+    | Delay n -> delay n
+    | Yield -> Proc.yield ()
+    | Wait i -> Simulator.Signal.wait signals.(i)
+    | Wait_timeout (i, n) ->
+        let r = Simulator.Signal.wait_timeout signals.(i) n in
+        record pid (if r = `Timeout then 1000 + step else 2000 + step)
+    | Broadcast i -> Simulator.Signal.broadcast signals.(i)
+    | Read i -> record pid (Simulator.Ivar.read ivars.(i))
+    | Fill i ->
+        if not (Simulator.Ivar.is_filled ivars.(i)) then
+          Simulator.Ivar.fill ivars.(i) (100 * pid + step)
+    | Send i -> Simulator.Mailbox.send boxes.(i) (100 * pid + step)
+    | Recv i -> record pid (Simulator.Mailbox.recv boxes.(i))
+    | Park -> Proc.suspend (fun resume -> Queue.push resume parked)
+    | Unpark ->
+        unpark ();
+        record pid (3000 + step)
+    | Timer n ->
+        let h =
+          Simulator.schedule sim ~after:n (fun () ->
+              let waiting = Queue.copy parked in
+              Queue.clear parked;
+              Queue.iter
+                (fun resume ->
+                  resume ();
+                  trace := (Simulator.now sim, -1, step) :: !trace)
+                waiting)
+        in
+        timers := h :: !timers
+    | Cancel -> (
+        match !timers with h :: _ -> Simulator.cancel sim h | [] -> ())
+    | Spawn_child ->
+        Proc.spawn (fun () ->
+            delay 1;
+            record (10 + pid) step;
+            delay 2;
+            record (10 + pid) (step + 1))
+    | Nested n ->
+        let inner = Simulator.create () in
+        Simulator.spawn inner (fun () ->
+            for i = 1 to n do
+              delay i;
+              record (20 + pid) i
+            done);
+        Simulator.run inner;
+        record pid (4000 + Simulator.events_processed inner)
+    | Inner_run n ->
+        let until = Option.map (fun n -> Time.add (Proc.now ()) n) n in
+        Simulator.run ?until sim
+    | Park_fail ->
+        Proc.suspend (fun resume -> Queue.push resume parked);
+        failwith "planned"
+  in
+  List.iteri
+    (fun pid ops ->
+      Simulator.spawn sim (fun () ->
+          List.iteri
+            (fun step op ->
+              exec pid step op;
+              record pid step)
+            ops))
+    c.procs;
+  (match c.fuel with
+  | No_fuel -> ()
+  | Event_fuel m -> Simulator.set_budget ~max_events:m sim
+  | Time_fuel t -> Simulator.set_budget ~max_time:t sim);
+  let outcome =
+    match
+      List.iter
+        (function
+          | Plain -> Simulator.run sim
+          | Until u -> Simulator.run ~until:u sim
+          | Max_events m -> Simulator.run ~max_events:m sim)
+        c.drives
+    with
+    | () -> "ok"
+    | exception e -> Printexc.to_string e
+  in
+  (* a process resumed outside any run may not run ahead *)
+  unpark ();
+  ( List.rev !trace, Simulator.events_processed sim, Simulator.now sim,
+    Simulator.pending_events sim, outcome )
+
+let queued_delay span =
+  if span > 0 then
+    Proc.suspend (fun k ->
+        ignore (Simulator.schedule (Proc.sim ()) ~after:span (fun () -> k ())))
+
+let prop_run_ahead_matches_queue =
+  QCheck.Test.make ~count:3000
+    ~name:"Proc.delay matches the queued delay under every bound"
+    (QCheck.make ~print:show_sim_case sim_case_gen)
+    (fun c ->
+      run_sim_case ~delay:Proc.delay c = run_sim_case ~delay:queued_delay c)
+
 let () =
   Alcotest.run "properties"
     [
@@ -444,4 +679,6 @@ let () =
           [ prop_copy_matches_bytewise; prop_aspace_copy_noncontiguous ] );
       ( "ept-updates",
         List.map QCheck_alcotest.to_alcotest [ prop_ept_matches_model ] );
+      ( "engine-run-ahead",
+        List.map QCheck_alcotest.to_alcotest [ prop_run_ahead_matches_queue ] );
     ]
